@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Full local CI: the tier-1 test suite and the bench smoke run under the
-# release build and both sanitizer presets, a line-coverage artifact from
-# the gcov-instrumented preset, and a cross-run event-core throughput gate.
+# release build and both sanitizer presets, the repository benchmark's
+# self-test, a line-coverage artifact from the gcov-instrumented preset,
+# and a cross-run event-core throughput gate.
 #
 # Usage: ./ci.sh [preset...]   (default: default asan tsan coverage)
 set -eu
@@ -25,6 +26,18 @@ for preset in "${PRESETS[@]}"; do
   cmake --build --preset "$preset" -j "$JOBS"
   echo "=== [$preset] ctest ==="
   ctest --preset "$preset" -j "$JOBS"
+  if [ "$preset" = default ]; then
+    # The repository benchmark compiles src/ in its own package and drives
+    # it only through public headers, so an API change that the tests
+    # above absorb can still break it. Its self-test builds it and plants
+    # a fault for every check.
+    echo "=== [default] perfbench self-test ==="
+    if [ -n "$PYTHON" ]; then
+      "$PYTHON" perfbench/run.py --selftest
+    else
+      echo "perfbench self-test: skipped (python3 missing)"
+    fi
+  fi
   if [ "$preset" = coverage ]; then
     # The coverage lane's artifact is the line-coverage report, not the
     # bench smoke (the instrumented binaries are slow and the smoke run

@@ -41,6 +41,17 @@ const char* event_kind_name(EventKind kind) {
     case EventKind::kGroupNakRx: return "group_nak_rx";
     case EventKind::kFecDecode: return "fec_decode";
     case EventKind::kFecRecover: return "fec_recover";
+    case EventKind::kAllocReq: return "alloc_req";
+    case EventKind::kRetxSuppressed: return "retx_suppressed";
+    case EventKind::kRtoBackoff: return "rto_backoff";
+    case EventKind::kEvict: return "evict";
+    case EventKind::kEvictNotice: return "evict_notice";
+    case EventKind::kSuspectTx: return "suspect_tx";
+    case EventKind::kSuspectRx: return "suspect_rx";
+    case EventKind::kNakSuppressed: return "nak_suppressed";
+    case EventKind::kRepairTx: return "repair_tx";
+    case EventKind::kRepairSuppressed: return "repair_suppressed";
+    case EventKind::kParityRx: return "parity_rx";
   }
   return "unknown";
 }
@@ -65,6 +76,27 @@ std::size_t Tracer::count(EventKind kind) const {
   return static_cast<std::size_t>(
       std::count_if(events_.begin(), events_.end(),
                     [kind](const Event& e) { return e.kind == kind; }));
+}
+
+std::vector<Event> HistoryRing::snapshot() const {
+  std::vector<Event> out;
+  const std::size_t held = size();
+  out.reserve(held);
+  // The oldest held event sits where the next append will land.
+  const std::uint64_t first = total_ - held;
+  for (std::uint64_t i = first; i < total_; ++i) {
+    out.push_back(slots_[static_cast<std::size_t>(i) & (kCapacity - 1)]);
+  }
+  return out;
+}
+
+void HistoryRing::dump_jsonl(std::FILE* out) const {
+  for (const Event& e : snapshot()) {
+    std::fprintf(out,
+                 "{\"t\": %lld, \"ev\": \"%s\", \"node\": %u, \"a\": %u, \"b\": %u}\n",
+                 static_cast<long long>(e.at), event_kind_name(e.kind),
+                 static_cast<unsigned>(e.track), e.a, e.b);
+  }
 }
 
 }  // namespace rmc::trace

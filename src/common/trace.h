@@ -1,5 +1,7 @@
-// Structured causal tracing: the event stream behind Perfetto exports,
-// sim-time timelines and the loss/stall attribution report.
+// Structured causal tracing: the one protocol event vocabulary
+// (EventKind), the event stream behind Perfetto exports, sim-time
+// timelines and the loss/stall attribution report, and the always-on
+// history ring that rmc::panic dumps.
 //
 // The metrics registry (common/metrics.h) answers "how much, how long" at
 // the end of a run; a Tracer answers "when, and why" inside one. Three
@@ -7,8 +9,10 @@
 //
 //   * protocol events — sender/receiver lifecycle points (transmit,
 //     receive, ACK/NAK in both directions, window advance/stall/resume,
-//     RTO, deliver, complete), recorded by rmcast::MulticastSender /
-//     MulticastReceiver when a tracer is attached;
+//     RTO, suppression, eviction, deliver, complete), recorded by
+//     rmcast::MulticastSender / MulticastReceiver through a Probe: every
+//     event lands in the calling thread's HistoryRing, and also in a
+//     Tracer when one is attached;
 //   * network events — per-port enqueue / wire-serialization / drop
 //     records from TxPort, EthernetSwitch, SharedBus and the host socket
 //     tier, each drop tagged with its cause (DropCause) and each frame
@@ -18,10 +22,11 @@
 //     depth, goodput, outstanding window, retransmission rate) taken by
 //     the harness sampler at a configurable sim-time interval.
 //
-// The null sink is a null pointer: every instrumented tier holds a
+// The null capture sink is a null pointer: every instrumented tier holds a
 // `trace::Tracer*` defaulting to nullptr and guards each hook with one
 // predictable branch, so an untraced run pays a pointer test per event
-// and nothing else (bench/smoke.sh gates the overhead at <5% on the
+// (plus, for protocol events, one store into the history ring) and
+// nothing else (bench/smoke.sh gates the overhead at <5% on the
 // event-churn microbenchmark).
 //
 // Events carry integer sim-time nanoseconds and integer operands, so a
@@ -34,8 +39,10 @@
 // forwards the opaque tag (net::Frame::trace_tag).
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
+#include <cstdio>
 #include <functional>
 #include <string>
 #include <string_view>
@@ -86,6 +93,19 @@ enum class EventKind : std::uint8_t {
   kGroupNakRx,  // a=node, b=group id
   kFecDecode,   // a=group id, b=decode span duration in ns
   kFecRecover,  // a=seq of a data block rebuilt from parity
+  // Protocol decisions: handshake, suppression, backoff, eviction and
+  // peer repair (appended for the same reason as above).
+  kAllocReq,             // a=session, b=total packets
+  kRetxSuppressed,       // a=seq withheld within suppress_interval
+  kRtoBackoff,           // a=backed-off RTO in microseconds
+  kEvict,                // a=evicted node, b=its last cumulative count
+  kEvictNotice,          // a=evicted node (receiver side)
+  kSuspectTx,            // a=stalled child reported to the sender
+  kSuspectRx,            // a=reporting parent, b=suspected node
+  kNakSuppressed,        // a=first missing seq, b=reason (0 rate-limited, 1 peer-covered)
+  kRepairTx,             // a=seq multicast as a peer repair
+  kRepairSuppressed,     // a=seq whose peer repair was withheld
+  kParityRx,             // a=parity seq (group*m+index), b=group
 };
 
 const char* event_kind_name(EventKind kind);
@@ -188,6 +208,84 @@ class Tracer {
   PacketTagger tagger_;
   std::size_t capacity_ = 0;
   std::uint64_t truncated_ = 0;
+};
+
+// The always-on protocol history: the calling thread's last kCapacity
+// protocol events, in the Event/EventKind vocabulary a Tracer captures.
+// Counters say how much; the ring says what just happened, and rmc::panic
+// dumps it so every ENSURE failure comes with the events that led to it
+// (SRM's retrospective: suppression and repair bugs are invisible without
+// event-level history). There is no Tracer to own track names here, so a
+// ring event's `track` holds the originating node id (rmcast's sender is
+// 0xFFFF).
+class HistoryRing {
+ public:
+  static constexpr std::size_t kCapacity = 4096;
+  static_assert((kCapacity & (kCapacity - 1)) == 0, "capacity must be a power of two");
+
+  // A slot store and an increment: inline, allocation-free, division-free.
+  void append(std::int64_t at, EventKind kind, std::uint16_t node, std::uint32_t a,
+              std::uint32_t b) {
+    slots_[static_cast<std::size_t>(total_) & (kCapacity - 1)] =
+        Event{at, kind, node, a, b, 0.0};
+    ++total_;
+  }
+
+  // Events currently held (<= kCapacity), and ever appended.
+  std::size_t size() const {
+    return total_ < kCapacity ? static_cast<std::size_t>(total_) : kCapacity;
+  }
+  std::uint64_t total() const { return total_; }
+
+  // Held events, oldest first.
+  std::vector<Event> snapshot() const;
+
+  // One JSON object per held event, oldest first:
+  //   {"t": <ns>, "ev": "<event_kind_name>", "node": n, "a": a, "b": b}
+  void dump_jsonl(std::FILE* out) const;
+
+  void clear() { total_ = 0; }
+
+ private:
+  std::array<Event, kCapacity> slots_{};
+  std::uint64_t total_ = 0;
+};
+
+namespace detail {
+// Constant-initialized and trivially destructible, so an access is a
+// thread-pointer offset with no lazy-init guard.
+inline constinit thread_local HistoryRing history_ring;
+}  // namespace detail
+
+// The calling thread's ring. Per thread, so parallel sweep workers keep
+// self-contained histories, and panic() dumps exactly the history of the
+// thread that tripped the invariant.
+inline HistoryRing& history() { return detail::history_ring; }
+
+// One protocol endpoint's event sink. record() appends to the calling
+// thread's history ring, stamped with the endpoint's node id, and — when
+// a capture Tracer is attached — to the endpoint's track of that tracer.
+// Construction and attach() are O(1): no track lookup, no allocation.
+class Probe {
+ public:
+  explicit Probe(std::uint16_t node) : node_(node) {}
+
+  // `tracer` may be null (history only); not owned; must outlive the probe.
+  void attach(Tracer* tracer, std::uint16_t track) {
+    tracer_ = tracer;
+    track_ = track;
+  }
+
+  void record(std::int64_t at, EventKind kind, std::uint32_t a = 0,
+              std::uint32_t b = 0) {
+    history().append(at, kind, node_, a, b);
+    if (tracer_ != nullptr) tracer_->record(at, kind, track_, a, b);
+  }
+
+ private:
+  Tracer* tracer_ = nullptr;
+  std::uint16_t track_ = 0;
+  std::uint16_t node_;
 };
 
 }  // namespace rmc::trace

@@ -168,6 +168,7 @@ void export_protocol_metrics(const RunResult& result, bool done,
   std::uint64_t repairs = 0, repairs_suppressed = 0, duplicates = 0, gaps = 0;
   std::uint64_t evict_notices = 0, suspects = 0, reforms = 0;
   std::uint64_t parity_rx = 0, fec_decodes = 0, fec_recovered = 0, group_naks = 0;
+  std::uint64_t oversized = 0;
   for (const rmcast::ReceiverStats& r : result.receivers) {
     delivered += r.messages_delivered;
     acks += r.acks_sent;
@@ -184,6 +185,7 @@ void export_protocol_metrics(const RunResult& result, bool done,
     fec_decodes += r.fec_decodes;
     fec_recovered += r.fec_blocks_recovered;
     group_naks += r.group_naks_sent;
+    oversized += r.oversized_data_drops;
   }
   m.counter("receiver.messages_delivered").inc(delivered);
   m.counter("receiver.acks_sent").inc(acks);
@@ -200,6 +202,7 @@ void export_protocol_metrics(const RunResult& result, bool done,
   m.counter("receiver.fec_decodes").inc(fec_decodes);
   m.counter("receiver.fec_blocks_recovered").inc(fec_recovered);
   m.counter("receiver.group_naks_sent").inc(group_naks);
+  m.counter("receiver.oversized_data_drops").inc(oversized);
 }
 
 std::string TrialsOutcome::describe_failure() const {
@@ -243,11 +246,6 @@ RunResult run_multicast(const MulticastRunSpec& spec) {
   rmcast::MulticastSender sender(bed.sender_runtime(), bed.sender_socket(),
                                  bed.membership(), spec.protocol);
   if (spec.metrics != nullptr) sender.set_metrics(spec.metrics);
-  std::unique_ptr<TraceRecorder> trace;
-  if (spec.sender_trace != nullptr) {
-    trace = std::make_unique<TraceRecorder>(bed.sender_runtime());
-    sender.set_observer(trace.get());
-  }
 
   std::vector<std::unique_ptr<rmcast::MulticastReceiver>> receivers;
   std::vector<bool> delivered_ok(spec.n_receivers, false);
@@ -336,7 +334,6 @@ RunResult run_multicast(const MulticastRunSpec& spec) {
   if (done) result.seconds = sim::to_seconds(completed_at);
   result.events_executed = bed.simulator().events_executed();
   for (const auto& r : receivers) result.receivers.push_back(r->stats());
-  if (trace != nullptr) *spec.sender_trace = trace->events();
   result.rcvbuf_drops = bed.total_rcvbuf_drops();
   result.link_drops = collect_link_drops(bed.cluster());
   result.fault_drops = collect_fault_drops(bed.cluster());

@@ -173,7 +173,7 @@ struct SweepRunner::Impl {
   std::vector<std::deque<std::shared_ptr<Job>>> queues;
   std::vector<std::thread> workers;
   std::size_t next_queue = 0;  // round-robin submission target
-  // Tickets [0, fold_cursor) have had their metrics folded into the sink.
+  // Tickets [0, fold_cursor) have finished and folded into the sinks.
   std::size_t fold_cursor = 0;
   bool stopping = false;
   Stats stats;
@@ -195,10 +195,6 @@ struct SweepRunner::Impl {
   // into the sink. Caller holds `mu`. Tickets fold strictly in submission
   // order, so the sink accumulates exactly as a serial sweep would.
   void fold_ready() {
-    if (options.metrics == nullptr && options.trace == nullptr) {
-      fold_cursor = tickets.size();
-      return;
-    }
     while (fold_cursor < tickets.size() && tickets[fold_cursor]->done) {
       Job& job = *tickets[fold_cursor];
       if (options.metrics != nullptr && job.metrics) {
@@ -358,11 +354,10 @@ SweepRunner::Ticket SweepRunner::submit(const MulticastRunSpec& spec,
     return job;
   };
 
-  // Caller-owned trace pointers are out-of-band outputs a cached result
-  // cannot replay. The runner's own per-job tracers are fine: a cache hit
-  // folds a copy of the shared job's trace per ticket.
-  const bool cacheable = impl_->options.cache && spec.sender_trace == nullptr &&
-                         spec.tracer == nullptr;
+  // A caller-owned tracer is an out-of-band output a cached result cannot
+  // replay. The runner's own per-job tracers are fine: a cache hit folds a
+  // copy of the shared job's trace per ticket.
+  const bool cacheable = impl_->options.cache && spec.tracer == nullptr;
   std::shared_ptr<Job> job;
   if (cacheable) {
     const std::uint64_t fp = spec_fingerprint(spec);

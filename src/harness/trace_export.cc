@@ -4,6 +4,7 @@
 #include <map>
 
 #include "rmcast/wire.h"
+#include "sim/time.h"
 
 namespace rmc::harness {
 
@@ -103,8 +104,10 @@ Attribution attribute(const trace::Tracer& tracer) {
       break;
     }
   }
-  out.total_seconds = static_cast<double>(t_end - t0) * 1e-9;
-  out.other_seconds = static_cast<double>(first_tx - t0) * 1e-9;
+  // The conversion RunResult::seconds uses: a run whose first event is its
+  // t=0 ALLOC_REQ totals exactly its communication time.
+  out.total_seconds = sim::to_seconds(t_end - t0);
+  out.other_seconds = sim::to_seconds(first_tx - t0);
 
   // Component intervals. Recovery runs from the first NAK/RTO of an
   // episode to the next original (non-retransmission) data send; a stall

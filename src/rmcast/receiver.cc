@@ -2,13 +2,14 @@
 
 #include <algorithm>
 
-#include "common/flight_recorder.h"
 #include "common/log.h"
 #include "common/panic.h"
 #include "inet/host_params.h"
 #include "rmcast/engine/registry.h"
 
 namespace rmc::rmcast {
+
+using trace::EventKind;
 
 MulticastReceiver::MulticastReceiver(rt::Runtime& runtime, rt::UdpSocket& data_socket,
                                      rt::UdpSocket& control_socket,
@@ -21,7 +22,8 @@ MulticastReceiver::MulticastReceiver(rt::Runtime& runtime, rt::UdpSocket& data_s
       node_id_(node_id),
       config_(config),
       engine_(ProtocolRegistry::instance().entry(config_.kind).receiver_engine()),
-      rng_(0x9E3779B9u ^ node_id) {
+      rng_(0x9E3779B9u ^ node_id),
+      probe_(static_cast<std::uint16_t>(node_id)) {
   std::string group_error = membership_.validate();
   RMC_ENSURE(group_error.empty(), group_error);
   std::string config_error = validate(config_, membership_.n_receivers());
@@ -251,6 +253,14 @@ void MulticastReceiver::handle_data(const Header& h, BytesView body) {
     ++stats_.stale_packets;
     return;
   }
+  // A body longer than its slot of the message buffer (a corrupt datagram,
+  // or one that disagrees with the session's ALLOC_REQ) is dropped here,
+  // before it can be buffered or copied.
+  if (body.size() > alloc_.packet_bytes ||
+      std::uint64_t{h.seq} * alloc_.packet_bytes + body.size() > alloc_.message_bytes) {
+    ++stats_.oversized_data_drops;
+    return;
+  }
   if (config_.receiver_driven_timeouts && !delivered_) arm_inactivity_timer();
   // Someone (sender or peer) already retransmitted this packet: our own
   // pending repair of it is redundant.
@@ -264,11 +274,8 @@ void MulticastReceiver::handle_data(const Header& h, BytesView body) {
                  h.seq / static_cast<std::uint32_t>(config_.fec.k));
   }
 
-  if (tracer_ && h.seq >= expected_) {
-    tracer_->record(rt_.now(), trace::EventKind::kReceiverRx, trace_track_, h.seq, 0);
-  }
+  if (h.seq >= expected_) probe_.record(rt_.now(), EventKind::kReceiverRx, h.seq, 0);
   if (h.seq == expected_) {
-    if (observer_) observer_->on_data(session_, h.seq, h.flags, /*duplicate=*/false);
     const std::uint32_t old_expected = expected_;
     std::uint8_t consumed = consume_in_order(h.seq, h.flags, body);
     after_advance(old_expected, consumed);
@@ -278,7 +285,6 @@ void MulticastReceiver::handle_data(const Header& h, BytesView body) {
       maybe_fec_decode(expected_ / static_cast<std::uint32_t>(config_.fec.k));
     }
   } else if (h.seq > expected_) {
-    if (observer_) observer_->on_data(session_, h.seq, h.flags, /*duplicate=*/false);
     ++stats_.gaps_detected;
     if (config_.selective_repeat && h.seq < expected_ + config_.window_size &&
         reorder_.size() < config_.window_size) {
@@ -354,10 +360,7 @@ void MulticastReceiver::after_advance(std::uint32_t old_expected,
 
 void MulticastReceiver::on_duplicate(const Header& h) {
   ++stats_.duplicates;
-  if (observer_) observer_->on_data(session_, h.seq, h.flags, /*duplicate=*/true);
-  if (tracer_) {
-    tracer_->record(rt_.now(), trace::EventKind::kReceiverRx, trace_track_, h.seq, 1);
-  }
+  probe_.record(rt_.now(), EventKind::kReceiverRx, h.seq, 1);
   // A retransmission of something we already hold usually means our (or a
   // peer's) acknowledgment was lost: re-acknowledge per the engine's
   // policy.
@@ -409,10 +412,7 @@ void MulticastReceiver::maybe_forward_chain_state(bool resend_allowed) {
 void MulticastReceiver::send_ack(std::uint32_t cum) {
   Header h{PacketType::kAck, 0, static_cast<std::uint16_t>(node_id_), session_, cum};
   ++stats_.acks_sent;
-  if (observer_) observer_->on_ack_sent(session_, cum);
-  if (tracer_) {
-    tracer_->record(rt_.now(), trace::EventKind::kAckTx, trace_track_, cum);
-  }
+  probe_.record(rt_.now(), EventKind::kAckTx, cum);
   control_socket_.send_ref(ack_target(), make_control_ref(h));
 }
 
@@ -420,9 +420,8 @@ void MulticastReceiver::want_nak() {
   const sim::Time now = rt_.now();
   if (last_nak_ >= 0 && now - last_nak_ < config_.nak_interval) {
     ++stats_.naks_suppressed;
-    if (observer_) {
-      observer_->on_nak_suppressed(session_, expected_, NakSuppressReason::kRateLimited);
-    }
+    probe_.record(now, EventKind::kNakSuppressed, expected_,
+                  static_cast<std::uint32_t>(NakSuppressReason::kRateLimited));
     return;
   }
   if (!config_.multicast_nak_suppression) {
@@ -451,12 +450,7 @@ void MulticastReceiver::emit_nak() {
   Header h{PacketType::kNak, 0, static_cast<std::uint16_t>(node_id_), session_, expected_};
   net::PayloadRef packet = make_control_ref(h);
   ++stats_.naks_sent;
-  if (observer_) observer_->on_nak_sent(session_, expected_);
-  if (tracer_) {
-    tracer_->record(rt_.now(), trace::EventKind::kNakTx, trace_track_, expected_);
-  }
-  flight_recorder().record(rt_.now(), "receiver", "nak",
-                           static_cast<std::uint32_t>(node_id_), expected_);
+  probe_.record(rt_.now(), EventKind::kNakTx, expected_);
   if (config_.peer_repair) {
     // SRM-style: the NAK goes to the group — whoever holds the packet
     // repairs it, keeping the sender out of the fast path. If this is a
@@ -501,10 +495,8 @@ void MulticastReceiver::handle_foreign_nak(const Header& h) {
       rt_.cancel(nak_timer_);
       nak_timer_ = rt::kInvalidTimerId;
       ++stats_.naks_suppressed;
-      if (observer_) {
-        observer_->on_nak_suppressed(session_, expected_,
-                                     NakSuppressReason::kPeerCovered);
-      }
+      probe_.record(rt_.now(), EventKind::kNakSuppressed, expected_,
+                    static_cast<std::uint32_t>(NakSuppressReason::kPeerCovered));
     }
     last_nak_ = rt_.now();
   }
@@ -559,8 +551,7 @@ void MulticastReceiver::handle_parity(const Header& h, BytesView body) {
   // the group's last parity index closes its repair window entirely.
   fec_no_more_parity_group_ = std::max(
       fec_no_more_parity_group_, index + 1 == m ? group + 1 : group);
-  flight_recorder().record(rt_.now(), "receiver", "parity",
-                           static_cast<std::uint32_t>(node_id_), h.seq, group);
+  probe_.record(rt_.now(), EventKind::kParityRx, h.seq, group);
   const std::uint64_t group_end = first + fec_group_data(group);
   if (!delivered_ && expected_ < group_end) {
     fec_parity_[group].try_emplace(index, Buffer(body.begin(), body.end()));
@@ -662,22 +653,15 @@ void MulticastReceiver::finish_fec_decode(std::uint32_t group, sim::Time started
     return;
   }
   ++stats_.fec_decodes;
-  if (tracer_) {
-    tracer_->record(rt_.now(), trace::EventKind::kFecDecode, trace_track_, group,
-                    static_cast<std::uint32_t>(rt_.now() - started));
-  }
-  flight_recorder().record(rt_.now(), "receiver", "fec_decode",
-                           static_cast<std::uint32_t>(node_id_), group,
-                           static_cast<std::uint32_t>(n_missing));
+  probe_.record(rt_.now(), EventKind::kFecDecode, group,
+                static_cast<std::uint32_t>(rt_.now() - started));
   for (std::size_t i = 0; i < group_data; ++i) {
     if (((missing >> i) & 1u) == 0) continue;
     const std::uint32_t seq = first + static_cast<std::uint32_t>(i);
     std::uint8_t flags = engine_->repair_flags(seq, config_);
     if (seq + 1 == alloc_.total_packets) flags |= kFlagLast;
     ++stats_.fec_blocks_recovered;
-    if (tracer_) {
-      tracer_->record(rt_.now(), trace::EventKind::kFecRecover, trace_track_, seq);
-    }
+    probe_.record(rt_.now(), EventKind::kFecRecover, seq);
     reorder_.try_emplace(seq, flags,
                          Buffer(staging[i].begin(),
                                 staging[i].begin() +
@@ -719,6 +703,8 @@ void MulticastReceiver::want_group_nak(bool force) {
   const sim::Time now = rt_.now();
   if (last_nak_ >= 0 && now - last_nak_ < config_.nak_interval) {
     ++stats_.naks_suppressed;
+    probe_.record(now, EventKind::kNakSuppressed, expected_,
+                  static_cast<std::uint32_t>(NakSuppressReason::kRateLimited));
     return;
   }
   last_nak_ = now;
@@ -733,13 +719,8 @@ void MulticastReceiver::emit_group_nak(std::uint32_t group, std::uint64_t missin
   write_header(w, h);
   write_group_nak(w, GroupNak{missing});
   ++stats_.group_naks_sent;
-  if (tracer_) {
-    tracer_->record(rt_.now(), trace::EventKind::kGroupNakTx, trace_track_, group,
-                    static_cast<std::uint32_t>(n_missing));
-  }
-  flight_recorder().record(rt_.now(), "receiver", "group_nak",
-                           static_cast<std::uint32_t>(node_id_), group,
-                           static_cast<std::uint32_t>(n_missing));
+  probe_.record(rt_.now(), EventKind::kGroupNakTx, group,
+                static_cast<std::uint32_t>(n_missing));
   control_socket_.send_ref(membership_.sender_control, w.take());
 }
 
@@ -751,14 +732,8 @@ void MulticastReceiver::deliver_if_complete() {
   if (delivery_latency_ != nullptr) {
     delivery_latency_->record_seconds(sim::to_seconds(rt_.now() - session_started_));
   }
-  if (observer_) observer_->on_deliver(session_, buffer_.size());
-  if (tracer_) {
-    tracer_->record(rt_.now(), trace::EventKind::kDeliver, trace_track_, session_,
-                    static_cast<std::uint32_t>(buffer_.size()));
-  }
-  flight_recorder().record(rt_.now(), "receiver", "deliver",
-                           static_cast<std::uint32_t>(node_id_), session_,
-                           buffer_.size());
+  probe_.record(rt_.now(), EventKind::kDeliver, session_,
+                static_cast<std::uint32_t>(buffer_.size()));
   RMC_DEBUG("receiver %zu: delivered session %u (%zu bytes)", node_id_, session_,
             buffer_.size());
   if (handler_) handler_(buffer_, session_);
@@ -799,7 +774,7 @@ void MulticastReceiver::schedule_repair(std::uint32_t seq) {
   if (auto it = repair_seen_at_.find(seq); it != repair_seen_at_.end()) {
     if (rt_.now() - it->second < holdoff) {
       ++stats_.repairs_suppressed;
-      if (observer_) observer_->on_repair_suppressed(session_, seq);
+      probe_.record(rt_.now(), EventKind::kRepairSuppressed, seq);
       return;
     }
   }
@@ -822,7 +797,7 @@ void MulticastReceiver::cancel_repair(std::uint32_t seq) {
   rt_.cancel(it->second);
   repair_timers_.erase(it);
   ++stats_.repairs_suppressed;
-  if (observer_) observer_->on_repair_suppressed(session_, seq);
+  probe_.record(rt_.now(), EventKind::kRepairSuppressed, seq);
 }
 
 void MulticastReceiver::emit_repair(std::uint32_t seq) {
@@ -847,9 +822,7 @@ void MulticastReceiver::emit_repair(std::uint32_t seq) {
     w.bytes(BytesView(buffer_.data() + offset, len));
   }
   ++stats_.repairs_sent;
-  if (observer_) observer_->on_repair_sent(session_, seq);
-  flight_recorder().record(rt_.now(), "receiver", "repair",
-                           static_cast<std::uint32_t>(node_id_), seq);
+  probe_.record(rt_.now(), EventKind::kRepairTx, seq);
   control_socket_.send_ref(membership_.group, w.take());
 }
 
@@ -863,15 +836,12 @@ void MulticastReceiver::handle_evict(const Header& h) {
   ++stats_.evict_notices_received;
   alive_[node] = false;
   live_dirty_ = true;
-  flight_recorder().record(rt_.now(), "receiver", "evict_notice",
-                           static_cast<std::uint32_t>(node_id_), session_,
-                           static_cast<std::uint32_t>(node));
+  probe_.record(rt_.now(), EventKind::kEvictNotice, static_cast<std::uint32_t>(node));
   if (node == node_id_) {
     // That's us. Go passive: cancel every timer and stop talking — the
     // survivors have already restructured around this node, and any late
     // ACK or NAK from it would corrupt their re-formed aggregation.
     evicted_self_ = true;
-    if (observer_) observer_->on_eviction(session_, h.node_id, /*self=*/true);
     disarm_inactivity_timer();
     disarm_child_monitor();
     if (nak_timer_ != rt::kInvalidTimerId) {
@@ -881,9 +851,6 @@ void MulticastReceiver::handle_evict(const Header& h) {
     for (auto& [seq, timer] : repair_timers_) rt_.cancel(timer);
     repair_timers_.clear();
     return;
-  }
-  if (observer_) {
-    observer_->on_eviction(session_, static_cast<std::uint16_t>(node), /*self=*/false);
   }
   if (is_tree_) {
     rebuild_tree_links();
@@ -987,9 +954,7 @@ void MulticastReceiver::send_suspect(std::size_t child) {
   Header h{PacketType::kSuspect, 0, static_cast<std::uint16_t>(node_id_), session_,
            static_cast<std::uint32_t>(child)};
   ++stats_.suspects_sent;
-  flight_recorder().record(rt_.now(), "receiver", "suspect",
-                           static_cast<std::uint32_t>(node_id_), session_,
-                           static_cast<std::uint32_t>(child));
+  probe_.record(rt_.now(), EventKind::kSuspectTx, static_cast<std::uint32_t>(child));
   control_socket_.send_ref(membership_.sender_control, make_control_ref(h));
 }
 

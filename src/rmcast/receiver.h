@@ -47,12 +47,18 @@
 #include "rmcast/engine/engine.h"
 #include "rmcast/fec/codec.h"
 #include "rmcast/group.h"
-#include "rmcast/observer.h"
 #include "rmcast/stats.h"
 #include "rmcast/wire.h"
 #include "runtime/runtime.h"
 
 namespace rmc::rmcast {
+
+// Why a receiver withheld a NAK it wanted to send: operand `b` of its
+// trace::EventKind::kNakSuppressed events.
+enum class NakSuppressReason : std::uint8_t {
+  kRateLimited,  // within nak_interval of the previous NAK
+  kPeerCovered,  // a peer's multicast NAK already covers the gap
+};
 
 class MulticastReceiver : private ReceiverOps {
  public:
@@ -71,9 +77,6 @@ class MulticastReceiver : private ReceiverOps {
 
   void set_message_handler(MessageHandler handler) { handler_ = std::move(handler); }
 
-  // Optional protocol-event observer (may be null; not owned). Must
-  // outlive the receiver or be cleared first.
-  void set_observer(ReceiverObserver* observer) { observer_ = observer; }
   // Optional metrics sink (may be null; not owned; must outlive the
   // receiver). Publishes the delivery-latency distribution as the
   // "receiver.delivery_latency_us" histogram: one sample per delivered
@@ -83,11 +86,11 @@ class MulticastReceiver : private ReceiverOps {
         metrics != nullptr ? &metrics->histogram("receiver.delivery_latency_us") : nullptr;
   }
   // Causal tracing (may be null; not owned; must outlive the receiver):
-  // records data receptions (with duplicate flag), ACK/NAK emissions and
-  // delivery onto `track` of `tracer`.
+  // every receiver protocol event (trace::EventKind) is also recorded onto
+  // `track` of `tracer`. Without one, events still reach the calling
+  // thread's history ring (trace::history()), stamped with the node id.
   void set_tracer(trace::Tracer* tracer, std::uint16_t track) {
-    tracer_ = tracer;
-    trace_track_ = track;
+    probe_.attach(tracer, track);
   }
 
   std::size_t node_id() const override { return node_id_; }
@@ -209,9 +212,7 @@ class MulticastReceiver : private ReceiverOps {
   Rng rng_;  // NAK backoff randomisation, seeded by node id
 
   MessageHandler handler_;
-  ReceiverObserver* observer_ = nullptr;
-  trace::Tracer* tracer_ = nullptr;
-  std::uint16_t trace_track_ = 0;
+  trace::Probe probe_;
   metrics::LatencyHistogram* delivery_latency_ = nullptr;
   ReceiverStats stats_;
 

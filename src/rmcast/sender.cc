@@ -2,13 +2,14 @@
 
 #include <algorithm>
 
-#include "common/flight_recorder.h"
 #include "common/log.h"
 #include "common/panic.h"
 #include "inet/host_params.h"
 #include "rmcast/engine/registry.h"
 
 namespace rmc::rmcast {
+
+using trace::EventKind;
 
 MulticastSender::MulticastSender(rt::Runtime& runtime, rt::UdpSocket& control_socket,
                                  GroupMembership membership, ProtocolConfig config)
@@ -86,9 +87,7 @@ void MulticastSender::send_alloc_request() {
   write_header(w, h);
   write_alloc_request(w, req);
   ++core_.stats.alloc_requests_sent;
-  if (core_.observer) core_.observer->on_alloc_request(session_, total_packets_);
-  flight_recorder().record(rt_.now(), "sender", "alloc_req", kSenderNodeId, session_,
-                           total_packets_);
+  probe_.record(rt_.now(), EventKind::kAllocReq, session_, total_packets_);
   socket_.send_ref(membership_.group, w.take());
 }
 
@@ -206,19 +205,12 @@ void MulticastSender::pump() {
     if (!window_stalled_ && seq_lt(core_.window.next(), core_.window.end())) {
       window_stalled_ = true;
       ++core_.stats.window_stalls;
-      if (core_.observer) core_.observer->on_window_stall(session_, core_.window.base());
-      if (tracer_) {
-        tracer_->record(rt_.now(), trace::EventKind::kWindowStall, trace_track_,
-                        core_.window.base());
-      }
-      flight_recorder().record(rt_.now(), "sender", "window_stall", kSenderNodeId,
-                               session_, core_.window.base());
+      probe_.record(rt_.now(), EventKind::kWindowStall, core_.window.base());
     }
     return;
   }
-  if (window_stalled_ && tracer_) {
-    tracer_->record(rt_.now(), trace::EventKind::kWindowResume, trace_track_,
-                    core_.window.base());
+  if (window_stalled_) {
+    probe_.record(rt_.now(), EventKind::kWindowResume, core_.window.base());
   }
   window_stalled_ = false;
   if (config_.rate_limit_bps > 0) {
@@ -259,14 +251,9 @@ void MulticastSender::transmit(std::uint32_t seq, bool retransmission, bool forc
             h.flags);
   // Unicast repairs do not count as group-wide transmissions for the
   // suppression bookkeeping.
-  if (unicast_to == nullptr) core_.window.mark_sent(seq, rt_.now());
-  if (core_.observer) core_.observer->on_transmit(session_, seq, h.flags, retransmission);
-  if (tracer_) {
-    tracer_->record(rt_.now(), trace::EventKind::kSenderTx, trace_track_, seq,
-                    retransmission ? 1u : 0u);
-  }
-  flight_recorder().record(rt_.now(), "sender", retransmission ? "retx" : "tx",
-                           kSenderNodeId, seq, h.flags);
+  const sim::Time now = rt_.now();
+  if (unicast_to == nullptr) core_.window.mark_sent(seq, now);
+  probe_.record(now, EventKind::kSenderTx, seq, retransmission ? 1u : 0u);
 
   if (retransmission) {
     // Retransmissions resend from the protocol buffer — the user-space
@@ -351,12 +338,7 @@ void MulticastSender::emit_group_parity(std::uint32_t group) {
       write_header(w, h);
       if (!parity[j].empty()) w.bytes(BytesView(parity[j].data(), parity[j].size()));
       ++core_.stats.parity_packets_sent;
-      if (tracer_) {
-        tracer_->record(rt_.now(), trace::EventKind::kParityTx, trace_track_, pseq,
-                        group);
-      }
-      flight_recorder().record(rt_.now(), "sender", "parity", kSenderNodeId, pseq,
-                               group);
+      probe_.record(rt_.now(), EventKind::kParityTx, pseq, group);
       socket_.send_ref(membership_.group, w.take());
     }
     tx_chain_active_ = false;
@@ -383,12 +365,7 @@ void MulticastSender::on_group_nak(const Header& h, Reader& r) {
     return;
   }
   ++core_.stats.group_naks_received;
-  if (tracer_) {
-    tracer_->record(rt_.now(), trace::EventKind::kGroupNakRx, trace_track_, h.node_id,
-                    h.seq);
-  }
-  flight_recorder().record(rt_.now(), "sender", "group_nak", h.node_id, session_,
-                           h.seq);
+  probe_.record(rt_.now(), EventKind::kGroupNakRx, h.node_id, h.seq);
   const std::uint64_t first = std::uint64_t{h.seq} * config_.fec.k;
   if (first >= total_packets_) {
     ++core_.stats.stale_packets;
@@ -406,7 +383,7 @@ void MulticastSender::on_group_nak(const Header& h, Reader& r) {
     if (seq_lt(seq, core_.window.base()) || seq_ge(seq, core_.window.next())) continue;
     if (now - core_.window.last_sent(seq) < config_.suppress_interval) {
       ++core_.stats.suppressed_retransmissions;
-      if (core_.observer) core_.observer->on_retransmit_suppressed(session_, seq);
+      probe_.record(now, EventKind::kRetxSuppressed, seq);
       continue;
     }
     transmit(seq, /*retransmission=*/true, /*force_poll=*/false);
@@ -419,10 +396,8 @@ void MulticastSender::on_ack(const Header& h) {
     return;
   }
   ++core_.stats.acks_received;
-  if (core_.observer) core_.observer->on_ack(h.session, h.node_id, h.seq);
-  if (tracer_) {
-    tracer_->record(rt_.now(), trace::EventKind::kAckRx, trace_track_, h.node_id, h.seq);
-  }
+  const sim::Time now = rt_.now();
+  probe_.record(now, EventKind::kAckRx, h.node_id, h.seq);
   int unit = core_.unit_of_node(h.node_id);
   if (unit < 0 || seq_gt(h.seq, core_.window.end())) {
     ++core_.stats.stale_packets;
@@ -442,7 +417,6 @@ void MulticastSender::on_ack(const Header& h) {
   if (!core_.tracker.on_ack(static_cast<std::size_t>(unit), cum)) return;
   // Progress: any exponential RTO backoff resets to the configured base.
   core_.current_rto = config_.rto;
-  flight_recorder().record(rt_.now(), "sender", "ack", h.node_id, cum);
   // ACK round-trip sample: from the newest acknowledged packet's last
   // transmission to now. Must be taken before release_to() slides the
   // window past cum.
@@ -460,11 +434,8 @@ void MulticastSender::on_ack(const Header& h) {
 
   if (seq_le(core_.tracker.min_cum(), core_.window.base())) return;
   core_.window.release_to(core_.tracker.min_cum());
-  if (tracer_) {
-    tracer_->record(rt_.now(), trace::EventKind::kWindowAdvance, trace_track_,
-                    core_.window.base(),
-                    static_cast<std::uint32_t>(core_.window.outstanding()));
-  }
+  probe_.record(now, EventKind::kWindowAdvance, core_.window.base(),
+                static_cast<std::uint32_t>(core_.window.outstanding()));
   if (core_.window.all_released()) {
     complete();
     return;
@@ -478,11 +449,7 @@ void MulticastSender::on_nak(const Header& h) {
     return;
   }
   ++core_.stats.naks_received;
-  if (core_.observer) core_.observer->on_nak(h.session, h.node_id, h.seq);
-  if (tracer_) {
-    tracer_->record(rt_.now(), trace::EventKind::kNakRx, trace_track_, h.node_id, h.seq);
-  }
-  flight_recorder().record(rt_.now(), "sender", "nak", h.node_id, h.seq);
+  probe_.record(rt_.now(), EventKind::kNakRx, h.node_id, h.seq);
   if (seq_lt(h.seq, core_.window.base()) || seq_ge(h.seq, core_.window.next())) return;
   if (config_.unicast_nak_retransmissions && h.node_id < membership_.n_receivers()) {
     // Answer only the complaining receiver; the group keeps its bandwidth
@@ -512,7 +479,7 @@ void MulticastSender::retransmit_from(std::uint32_t from, bool force_poll,
     if (unicast_to == nullptr) {
       if (now - core_.window.last_sent(seq) < config_.suppress_interval) {
         ++core_.stats.suppressed_retransmissions;
-        if (core_.observer) core_.observer->on_retransmit_suppressed(session_, seq);
+        probe_.record(now, EventKind::kRetxSuppressed, seq);
         continue;
       }
     }
@@ -550,13 +517,7 @@ void MulticastSender::on_rto() {
   if (state_ != State::kSending) return;
   ++core_.stats.rto_fires;
   ++core_.rto_rounds;
-  if (core_.observer) core_.observer->on_timeout(session_, core_.window.base());
-  if (tracer_) {
-    tracer_->record(rt_.now(), trace::EventKind::kRtoFire, trace_track_,
-                    core_.window.base());
-  }
-  flight_recorder().record(rt_.now(), "sender", "rto", kSenderNodeId, session_,
-                           core_.window.base());
+  probe_.record(rt_.now(), EventKind::kRtoFire, core_.window.base());
   RMC_DEBUG("[%.6f] sender rto: session=%u base=%u next=%u", sim::to_seconds(rt_.now()),
             session_, core_.window.base(), core_.window.next());
   if (core_.eviction_enabled()) {
@@ -565,8 +526,10 @@ void MulticastSender::on_rto() {
     // Back the timeout off exponentially (the peer — or the network — is
     // not keeping up with the current pace) and charge a stall round to
     // every unit still short of what has been transmitted.
-    if (core_.backoff_rto() && core_.observer) {
-      core_.observer->on_rto_backoff(session_, core_.current_rto);
+    if (core_.backoff_rto()) {
+      probe_.record(rt_.now(), EventKind::kRtoBackoff,
+                    static_cast<std::uint32_t>(std::min<sim::Time>(
+                        core_.current_rto / sim::microseconds(1), UINT32_MAX)));
     }
     std::vector<std::size_t> dead = core_.charge_stall_rounds(core_.window.next());
     for (std::size_t node : dead) {
@@ -594,13 +557,8 @@ void MulticastSender::announce_evictions() {
 
 void MulticastSender::evict(std::size_t node) {
   if (!core_.mark_evicted(node)) return;
-  if (core_.observer) {
-    core_.observer->on_receiver_evicted(session_, static_cast<std::uint16_t>(node),
-                                        core_.node_cum[node]);
-  }
-  flight_recorder().record(rt_.now(), "sender", "evict",
-                           static_cast<std::uint16_t>(node), session_,
-                           core_.node_cum[node]);
+  probe_.record(rt_.now(), EventKind::kEvict, static_cast<std::uint32_t>(node),
+                core_.node_cum[node]);
   RMC_DEBUG("[%.6f] sender evict: node=%zu cum=%u", sim::to_seconds(rt_.now()), node,
             core_.node_cum[node]);
   send_evict_notice(node);
@@ -647,7 +605,7 @@ void MulticastSender::on_suspect(const Header& h) {
   ++core_.stats.suspect_reports_received;
   const std::size_t node = h.seq;
   if (node >= core_.n_nodes() || core_.is_evicted(node)) return;
-  flight_recorder().record(rt_.now(), "sender", "suspect", h.node_id, session_, h.seq);
+  probe_.record(rt_.now(), EventKind::kSuspectRx, h.node_id, h.seq);
   evict(node);
 }
 
@@ -677,11 +635,7 @@ void MulticastSender::complete() {
   }
   state_ = State::kIdle;
   ++core_.stats.messages_sent;
-  if (core_.observer) core_.observer->on_complete(session_);
-  if (tracer_) {
-    tracer_->record(rt_.now(), trace::EventKind::kComplete, trace_track_, session_);
-  }
-  flight_recorder().record(rt_.now(), "sender", "complete", kSenderNodeId, session_);
+  probe_.record(rt_.now(), EventKind::kComplete, session_);
   message_.clear();
   message_view_ = {};
   if (on_complete_) {

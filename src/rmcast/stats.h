@@ -53,6 +53,9 @@ struct ReceiverStats {
   std::uint64_t repairs_sent = 0;
   std::uint64_t repairs_suppressed = 0;
   std::uint64_t stale_packets = 0;
+  // DATA packets dropped because the body overruns its slot of the
+  // message buffer (longer than packet_bytes, or past message_bytes).
+  std::uint64_t oversized_data_drops = 0;
   // High-water mark of out-of-order payload bytes held (selective repeat).
   std::uint64_t peak_reorder_bytes = 0;
   // Graceful degradation: EVICT notices accepted from the sender, SUSPECT

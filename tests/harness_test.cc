@@ -2,15 +2,15 @@
 // averaging, and table output.
 #include <gtest/gtest.h>
 
-#include <cstring>
-#include <set>
+#include <algorithm>
+#include <cstdio>
+#include <cstdlib>
 #include <string>
-#include <utility>
 
+#include "common/trace.h"
 #include "harness/experiment.h"
 #include "harness/table.h"
 #include "harness/testbed.h"
-#include "harness/trace.h"
 #include "rmcast/receiver.h"
 #include "rmcast/sender.h"
 
@@ -152,6 +152,22 @@ TEST(TablePrinterDeath, RowWidthMustMatch) {
   EXPECT_DEATH(t.add_row({"only-one"}), "row width");
 }
 
+// Counts `tracer` events of `kind` on `track` whose `b` operand is `b`.
+std::size_t count_on(const trace::Tracer& tracer, trace::EventKind kind,
+                     std::uint16_t track, std::uint32_t b) {
+  return static_cast<std::size_t>(
+      std::count_if(tracer.events().begin(), tracer.events().end(),
+                    [&](const trace::Event& e) {
+                      return e.kind == kind && e.track == track && e.b == b;
+                    }));
+}
+
+std::size_t events_on(const trace::Tracer& tracer, std::uint16_t track) {
+  return static_cast<std::size_t>(
+      std::count_if(tracer.events().begin(), tracer.events().end(),
+                    [&](const trace::Event& e) { return e.track == track; }));
+}
+
 TEST(Trace, RecordsOrderedProtocolEvents) {
   Testbed bed(3);
   rmcast::ProtocolConfig config;
@@ -166,10 +182,14 @@ TEST(Trace, RecordsOrderedProtocolEvents) {
         bed.receiver_runtime(i), bed.receiver_data_socket(i),
         bed.receiver_control_socket(i), bed.membership(), i, config));
   }
-  TraceRecorder trace(bed.sender_runtime());
-  sender.set_observer(&trace);
+  trace::Tracer tracer;
+  const std::uint16_t sender_track = tracer.track("sender", trace::TrackTier::kSender);
+  sender.set_tracer(&tracer, sender_track);
+  std::vector<std::uint16_t> receiver_tracks;
   for (std::size_t i = 0; i < 3; ++i) {
-    receivers[i]->set_observer(trace.receiver_tap(i));
+    receiver_tracks.push_back(
+        tracer.track("receiver." + std::to_string(i), trace::TrackTier::kReceiver));
+    receivers[i]->set_tracer(&tracer, receiver_tracks.back());
   }
 
   Buffer message(20'000, 0x33);  // 3 packets
@@ -180,47 +200,32 @@ TEST(Trace, RecordsOrderedProtocolEvents) {
   }
   ASSERT_TRUE(done);
 
-  using Kind = TraceRecorder::Kind;
-  EXPECT_EQ(trace.count(Kind::kAllocRequest), 1u);
-  EXPECT_EQ(trace.count(Kind::kTransmit), 3u);
-  EXPECT_EQ(trace.count(Kind::kRetransmit), 0u);
-  EXPECT_EQ(trace.count(Kind::kAck), 9u);  // 3 receivers x 3 packets
-  EXPECT_EQ(trace.count(Kind::kComplete), 1u);
-  // Receiver taps land in the same stream: each of the 3 receivers accepts
-  // every data packet (no loss), acks it, and delivers once.
-  EXPECT_EQ(trace.count(Kind::kData), 9u);
-  EXPECT_EQ(trace.count(Kind::kDuplicate), 0u);
-  EXPECT_EQ(trace.count(Kind::kAckSent), 9u);
-  EXPECT_EQ(trace.count(Kind::kDeliver), 3u);
-  for (std::uint32_t node = 0; node < 3; ++node) {
-    EXPECT_EQ(trace.count_node(node), 7u);  // 3 data + 3 acks + 1 deliver
+  using trace::EventKind;
+  EXPECT_EQ(tracer.count(EventKind::kAllocReq), 1u);
+  EXPECT_EQ(count_on(tracer, EventKind::kSenderTx, sender_track, 0), 3u);
+  EXPECT_EQ(count_on(tracer, EventKind::kSenderTx, sender_track, 1), 0u);
+  EXPECT_EQ(tracer.count(EventKind::kAckRx), 9u);  // 3 receivers x 3 packets
+  EXPECT_EQ(tracer.count(EventKind::kComplete), 1u);
+  // Receiver events land in the same stream, each on its node's track:
+  // every receiver accepts every data packet (no loss), acks it, and
+  // delivers once.
+  for (std::uint16_t track : receiver_tracks) {
+    EXPECT_EQ(count_on(tracer, EventKind::kReceiverRx, track, 0), 3u);
+    EXPECT_EQ(count_on(tracer, EventKind::kReceiverRx, track, 1), 0u);
+    EXPECT_EQ(events_on(tracer, track), 7u);  // 3 data + 3 acks + 1 deliver
   }
-  EXPECT_EQ(trace.count_node(TraceRecorder::kSenderNode),
-            trace.events().size() - 3 * 7u);
+  EXPECT_EQ(tracer.count(EventKind::kAckTx), 9u);
+  EXPECT_EQ(tracer.count(EventKind::kDeliver), 3u);
+  EXPECT_EQ(events_on(tracer, sender_track), tracer.events().size() - 3 * 7u);
 
   // Chronology: alloc first, completion last, timestamps non-decreasing.
-  const auto& events = trace.events();
+  const auto& events = tracer.events();
   ASSERT_FALSE(events.empty());
-  EXPECT_EQ(events.front().kind, Kind::kAllocRequest);
-  EXPECT_EQ(events.back().kind, Kind::kComplete);
+  EXPECT_EQ(events.front().kind, EventKind::kAllocReq);
+  EXPECT_EQ(events.back().kind, EventKind::kComplete);
   for (std::size_t i = 1; i < events.size(); ++i) {
-    EXPECT_GE(events[i].seconds, events[i - 1].seconds);
+    EXPECT_GE(events[i].at, events[i - 1].at);
   }
-
-  // CSV export round-trips through a memstream.
-  char* data = nullptr;
-  std::size_t size = 0;
-  FILE* mem = open_memstream(&data, &size);
-  trace.write_csv(mem);
-  std::fclose(mem);
-  std::string csv(data, size);
-  free(data);
-  EXPECT_NE(csv.find("seconds,kind,node,session,a,b"), std::string::npos);
-  EXPECT_NE(csv.find("alloc_request"), std::string::npos);
-  EXPECT_NE(csv.find("complete"), std::string::npos);
-  EXPECT_NE(csv.find("deliver"), std::string::npos);
-  EXPECT_EQ(static_cast<std::size_t>(std::count(csv.begin(), csv.end(), '\n')),
-            events.size() + 1);
 }
 
 TEST(Trace, RetransmissionsVisibleUnderLoss) {
@@ -241,8 +246,9 @@ TEST(Trace, RetransmissionsVisibleUnderLoss) {
         bed.receiver_runtime(i), bed.receiver_data_socket(i),
         bed.receiver_control_socket(i), bed.membership(), i, config));
   }
-  TraceRecorder trace(bed.sender_runtime());
-  sender.set_observer(&trace);
+  trace::Tracer tracer;
+  const std::uint16_t sender_track = tracer.track("sender", trace::TrackTier::kSender);
+  sender.set_tracer(&tracer, sender_track);
 
   Buffer message(200'000, 0x44);
   bool done = false;
@@ -252,74 +258,11 @@ TEST(Trace, RetransmissionsVisibleUnderLoss) {
     if (!bed.simulator().step()) break;
   }
   ASSERT_TRUE(done);
-  EXPECT_GT(trace.count(TraceRecorder::Kind::kRetransmit), 0u);
-  EXPECT_EQ(trace.count(TraceRecorder::Kind::kRetransmit),
-            sender.stats().retransmissions);
-  EXPECT_EQ(trace.count(TraceRecorder::Kind::kNak), sender.stats().naks_received);
-}
-
-TEST(Trace, KindNameRoundTrip) {
-  using Kind = TraceRecorder::Kind;
-  const std::pair<Kind, const char*> expected[] = {
-      {Kind::kAllocRequest, "alloc_request"},
-      {Kind::kTransmit, "transmit"},
-      {Kind::kRetransmit, "retransmit"},
-      {Kind::kAck, "ack"},
-      {Kind::kNak, "nak"},
-      {Kind::kTimeout, "timeout"},
-      {Kind::kComplete, "complete"},
-      {Kind::kData, "data"},
-      {Kind::kDuplicate, "duplicate"},
-      {Kind::kAckSent, "ack_sent"},
-      {Kind::kNakSent, "nak_sent"},
-      {Kind::kNakSuppressed, "nak_suppressed"},
-      {Kind::kRepairSent, "repair_sent"},
-      {Kind::kRepairSuppressed, "repair_suppressed"},
-      {Kind::kDeliver, "deliver"}};
-  std::set<std::string> names;
-  for (const auto& [kind, name] : expected) {
-    EXPECT_STREQ(TraceRecorder::kind_name(kind), name);
-    names.insert(name);
-  }
-  // Names are distinct, so the CSV kind column identifies the event.
-  EXPECT_EQ(names.size(), sizeof(expected) / sizeof(expected[0]));
-}
-
-TEST(Trace, WriteCsvRowFormat) {
-  Testbed bed(1);
-  TraceRecorder trace(bed.sender_runtime());
-  trace.on_transmit(7, 3, 2, false);
-  trace.on_transmit(7, 3, 2, true);
-  trace.on_ack(7, 1, 4);
-  trace.receiver_tap(1)->on_data(7, 3, 2, false);
-
-  using Kind = TraceRecorder::Kind;
-  EXPECT_EQ(trace.count(Kind::kTransmit), 1u);
-  EXPECT_EQ(trace.count(Kind::kRetransmit), 1u);
-  EXPECT_EQ(trace.count(Kind::kAck), 1u);
-  EXPECT_EQ(trace.count(Kind::kNak), 0u);
-  EXPECT_EQ(trace.count(Kind::kData), 1u);
-  EXPECT_EQ(trace.count_node(1), 1u);
-
-  char* data = nullptr;
-  std::size_t size = 0;
-  FILE* mem = open_memstream(&data, &size);
-  trace.write_csv(mem);
-  std::fclose(mem);
-  std::string csv(data, size);
-  free(data);
-  // Header plus one row per event, fields in declared order; the clock
-  // has not advanced, so every timestamp is zero.
-  EXPECT_EQ(csv,
-            "seconds,kind,node,session,a,b\n"
-            "0.000000000,transmit,65535,7,3,2\n"
-            "0.000000000,retransmit,65535,7,3,2\n"
-            "0.000000000,ack,65535,7,1,4\n"
-            "0.000000000,data,1,7,3,2\n");
-
-  trace.clear();
-  EXPECT_EQ(trace.count(Kind::kTransmit), 0u);
-  EXPECT_TRUE(trace.events().empty());
+  const std::size_t retransmits =
+      count_on(tracer, trace::EventKind::kSenderTx, sender_track, 1);
+  EXPECT_GT(retransmits, 0u);
+  EXPECT_EQ(retransmits, sender.stats().retransmissions);
+  EXPECT_EQ(tracer.count(trace::EventKind::kNakRx), sender.stats().naks_received);
 }
 
 }  // namespace

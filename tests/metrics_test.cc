@@ -1,5 +1,5 @@
 // Unit tests for the metrics registry (counters, gauges, latency
-// histograms, JSON snapshot) and the flight recorder ring buffer.
+// histograms, JSON snapshot).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -9,7 +9,6 @@
 #include <string>
 #include <vector>
 
-#include "common/flight_recorder.h"
 #include "common/metrics.h"
 
 namespace rmc::metrics {
@@ -292,88 +291,3 @@ TEST(RegistryMerge, EmptySourceAndSelflessTargetAreNoOps) {
 
 }  // namespace
 }  // namespace rmc::metrics
-
-namespace rmc {
-namespace {
-
-TEST(FlightRecorder, RecordsAndSnapshotsOldestFirst) {
-  FlightRecorder rec(8);
-  EXPECT_EQ(rec.capacity(), 8u);
-  EXPECT_EQ(rec.size(), 0u);
-  rec.record(10, "sender", "tx", 0, 1, 2);
-  rec.record(20, "receiver", "ack", 3, 4, 5);
-  EXPECT_EQ(rec.size(), 2u);
-  EXPECT_EQ(rec.total_recorded(), 2u);
-
-  auto events = rec.snapshot();
-  ASSERT_EQ(events.size(), 2u);
-  EXPECT_EQ(events[0].t_ns, 10);
-  EXPECT_STREQ(events[0].category, "sender");
-  EXPECT_STREQ(events[0].name, "tx");
-  EXPECT_EQ(events[1].t_ns, 20);
-  EXPECT_EQ(events[1].node, 3u);
-  EXPECT_EQ(events[1].a, 4u);
-  EXPECT_EQ(events[1].b, 5u);
-}
-
-TEST(FlightRecorder, RingOverwritesOldestWhenFull) {
-  FlightRecorder rec(4);
-  for (int i = 0; i < 10; ++i) {
-    rec.record(i, "net", "frame", 0, static_cast<std::uint64_t>(i), 0);
-  }
-  EXPECT_EQ(rec.size(), 4u);  // bounded
-  EXPECT_EQ(rec.total_recorded(), 10u);
-  auto events = rec.snapshot();
-  ASSERT_EQ(events.size(), 4u);
-  // The survivors are the newest four, oldest first.
-  for (std::size_t i = 0; i < 4; ++i) {
-    EXPECT_EQ(events[i].t_ns, static_cast<std::int64_t>(6 + i));
-  }
-}
-
-TEST(FlightRecorder, DisabledDropsEvents) {
-  FlightRecorder rec(4);
-  rec.set_enabled(false);
-  rec.record(1, "sender", "tx");
-  EXPECT_EQ(rec.size(), 0u);
-  EXPECT_EQ(rec.total_recorded(), 0u);
-  rec.set_enabled(true);
-  rec.record(2, "sender", "tx");
-  EXPECT_EQ(rec.size(), 1u);
-}
-
-TEST(FlightRecorder, ClearAndResizeEmptyTheRing) {
-  FlightRecorder rec(4);
-  rec.record(1, "a", "b");
-  rec.clear();
-  EXPECT_EQ(rec.size(), 0u);
-  rec.record(2, "a", "b");
-  rec.set_capacity(16);
-  EXPECT_EQ(rec.capacity(), 16u);
-  EXPECT_EQ(rec.size(), 0u);  // resize clears
-}
-
-TEST(FlightRecorder, DumpsOneJsonObjectPerLine) {
-  FlightRecorder rec(4);
-  rec.record(1500, "sender", "window_stall", 0, 42, 7);
-  char* data = nullptr;
-  std::size_t size = 0;
-  FILE* mem = open_memstream(&data, &size);
-  rec.dump_jsonl(mem);
-  std::fclose(mem);
-  std::string out(data, size);
-  free(data);
-  EXPECT_EQ(out,
-            "{\"t\": 1500, \"cat\": \"sender\", \"ev\": \"window_stall\", "
-            "\"node\": 0, \"a\": 42, \"b\": 7}\n");
-}
-
-TEST(FlightRecorder, GlobalInstanceIsAvailable) {
-  FlightRecorder& rec = flight_recorder();
-  EXPECT_GT(rec.capacity(), 0u);
-  // Leave the global alone beyond existence: protocol tests in the same
-  // process rely on it accumulating.
-}
-
-}  // namespace
-}  // namespace rmc

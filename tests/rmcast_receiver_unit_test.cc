@@ -339,6 +339,55 @@ TEST(ReceiverRobustness, GarbageAndTruncatedPacketsIgnored) {
   EXPECT_TRUE(u.delivered_.empty());
 }
 
+// A DATA body longer than its slot of the message buffer is a counted
+// drop, never a receiver abort — in order, or buffered out of order
+// under selective repeat (where the old path aborted only later, on
+// drain).
+TEST(ReceiverRobustness, OversizedDataBodyIsACountedDrop) {
+  ReceiverUnit u(ProtocolKind::kAck, 0);
+  u.start_session(1, 3);
+  u.clear_sent();
+  u.inject_data(1, 0, 0, /*len=*/101);  // packet_bytes is 100
+  EXPECT_TRUE(u.control_sent().empty());
+  EXPECT_EQ(u.receiver_->stats().oversized_data_drops, 1u);
+  EXPECT_EQ(u.receiver_->stats().data_packets_received, 0u);
+  // The slot is still open for the real packet.
+  for (std::uint32_t seq = 0; seq < 3; ++seq) {
+    u.inject_data(1, seq, seq == 2 ? rmcast::kFlagLast : 0);
+  }
+  Buffer expected;
+  for (std::uint8_t seq = 0; seq < 3; ++seq) expected.insert(expected.end(), 100, seq);
+  ASSERT_EQ(u.delivered_.size(), 1u);
+  EXPECT_EQ(u.delivered_[0].message, expected);
+  EXPECT_EQ(u.receiver_->stats().oversized_data_drops, 1u);
+}
+
+TEST(ReceiverRobustness, OversizedTailBlockIsDroppedBeforeBuffering) {
+  ReceiverUnit u(ProtocolKind::kAck, 0, 2, /*selective_repeat=*/true);
+  // 250 bytes in 100-byte packets: the tail slot (seq 2) holds 50.
+  u.data_socket_.inject(u.membership_.sender_control, alloc_packet(1, 250, 100, 3));
+  u.inject_data(1, 2, rmcast::kFlagLast, /*len=*/100);  // out of order, too long
+  EXPECT_EQ(u.receiver_->stats().oversized_data_drops, 1u);
+  EXPECT_EQ(u.receiver_->stats().peak_reorder_bytes, 0u);
+  u.inject_data(1, 0);
+  u.inject_data(1, 1);
+  u.inject_data(1, 2, rmcast::kFlagLast, /*len=*/50);
+  ASSERT_EQ(u.delivered_.size(), 1u);
+  EXPECT_EQ(u.delivered_[0].message.size(), 250u);
+}
+
+TEST(ReceiverRobustness, DataPastAnInconsistentAllocIsDropped) {
+  ReceiverUnit u(ProtocolKind::kAck, 0);
+  // An ALLOC_REQ promising 3 packets for a 100-byte message: seq 2 starts
+  // past the end of the buffer, so even an empty body overruns it.
+  u.data_socket_.inject(u.membership_.sender_control, alloc_packet(1, 100, 100, 3));
+  u.inject_data(1, 0);
+  u.inject_data(1, 1, 0, /*len=*/0);
+  u.inject_data(1, 2, rmcast::kFlagLast, /*len=*/0);
+  EXPECT_EQ(u.receiver_->stats().oversized_data_drops, 1u);
+  EXPECT_TRUE(u.delivered_.empty());
+}
+
 // --- flat-tree chain behaviour ---------------------------------------------
 
 Buffer chain_ack(std::uint32_t session, std::uint16_t node, std::uint32_t cum) {

@@ -14,15 +14,16 @@
 //   * run_trials surfaces which seed failed and why.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "common/metrics.h"
+#include "common/trace.h"
 #include "harness/experiment.h"
 #include "harness/sweep.h"
-#include "harness/trace.h"
 
 namespace rmc::harness {
 namespace {
@@ -198,26 +199,48 @@ TEST(SweepRunner, CacheOffReexecutesEveryTicket) {
   EXPECT_EQ(stats.cache_hits, 0u);
 }
 
-// A spec carrying a sender_trace pointer writes through an out-of-band
-// channel the cache cannot replay, so it must bypass the cache.
-TEST(SweepRunner, SenderTraceBypassesCache) {
+// A spec carrying its own tracer writes through an out-of-band channel the
+// cache cannot replay, so it must bypass the cache.
+TEST(SweepRunner, CallerTracerBypassesCache) {
   MulticastRunSpec spec = small_spec(rmcast::ProtocolKind::kAck, 3);
-  std::vector<TraceRecorder::Event> trace_a, trace_b;
+  trace::Tracer trace_a, trace_b;
 
   SweepRunner::Options options;
   options.jobs = 1;
   SweepRunner runner(options);
-  spec.sender_trace = &trace_a;
+  spec.tracer = &trace_a;
   runner.submit(spec);
-  spec.sender_trace = &trace_b;
+  spec.tracer = &trace_b;
   runner.submit(spec);
   runner.wait_all();
 
   const SweepRunner::Stats stats = runner.stats();
   EXPECT_EQ(stats.executed, 2u);
   EXPECT_EQ(stats.cache_hits, 0u);
-  EXPECT_FALSE(trace_a.empty());
-  EXPECT_EQ(trace_a.size(), trace_b.size());
+  EXPECT_GT(trace_a.count(trace::EventKind::kSenderTx), 0u);
+  EXPECT_TRUE(trace_a.same_as(trace_b));
+}
+
+// Without any sink there is nothing to fold, but wait_all() must still
+// wait for every point to run.
+TEST(SweepRunner, WaitAllWithoutSinksWaitsForEveryPoint) {
+  SweepRunner::Options options;
+  options.jobs = 4;
+  SweepRunner runner(options);
+  std::atomic<int> finished{0};
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    runner.submit_task([&finished, seed](metrics::Registry*) {
+      RunResult r = run_multicast(small_spec(rmcast::ProtocolKind::kAck, seed));
+      finished.fetch_add(1);
+      return r;
+    });
+  }
+  runner.wait_all();
+
+  EXPECT_EQ(finished.load(), 8);
+  const SweepRunner::Stats stats = runner.stats();
+  EXPECT_EQ(stats.submitted, 8u);
+  EXPECT_EQ(stats.executed, stats.submitted);
 }
 
 TEST(SweepRunner, SubmitTaskRunsArbitraryWork) {

@@ -1,4 +1,5 @@
-// Causal packet tracing: span lifecycle, drop-cause tagging, timeline
+// Causal packet tracing: the event vocabulary, the always-on history ring
+// and its panic dump, span lifecycle, drop-cause tagging, timeline
 // sampling, attribution, Perfetto export shape, and trace determinism
 // across sweep parallelism.
 #include <gtest/gtest.h>
@@ -6,7 +7,10 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
+#include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/metrics.h"
@@ -14,7 +18,10 @@
 #include "common/trace.h"
 #include "harness/experiment.h"
 #include "harness/sweep.h"
+#include "harness/testbed.h"
 #include "harness/trace_export.h"
+#include "rmcast/receiver.h"
+#include "rmcast/sender.h"
 #include "rmcast/wire.h"
 #include "sim/simulator.h"
 
@@ -116,6 +123,182 @@ TEST(Tracer, CapacityCapCountsTruncatedEvents) {
   t.clear();
   EXPECT_TRUE(t.events().empty());
   EXPECT_EQ(t.truncated(), 0u);
+}
+
+TEST(EventKind, NamesAreDistinctAndAppendedKindsKeepExistingValues) {
+  std::set<std::string> names;
+  const int last = static_cast<int>(trace::EventKind::kParityRx);
+  for (int k = 0; k <= last; ++k) {
+    const std::string name = trace::event_kind_name(static_cast<trace::EventKind>(k));
+    EXPECT_NE(name, "unknown") << k;
+    names.insert(name);
+  }
+  // Distinct names, so a JSONL or Perfetto line identifies its event.
+  EXPECT_EQ(names.size(), static_cast<std::size_t>(last + 1));
+  // Kinds are only ever appended: values embedded in existing traces hold.
+  EXPECT_EQ(static_cast<int>(trace::EventKind::kFault), 12);
+  EXPECT_EQ(static_cast<int>(trace::EventKind::kSample), 16);
+  EXPECT_EQ(static_cast<int>(trace::EventKind::kFecRecover), 21);
+  EXPECT_EQ(static_cast<int>(trace::EventKind::kAllocReq), 22);
+}
+
+TEST(HistoryRing, RecordsAndSnapshotsOldestFirst) {
+  auto ring = std::make_unique<trace::HistoryRing>();
+  EXPECT_EQ(ring->size(), 0u);
+  ring->append(10, trace::EventKind::kSenderTx, 0xFFFF, 1, 2);
+  ring->append(20, trace::EventKind::kAckTx, 3, 4, 5);
+  EXPECT_EQ(ring->size(), 2u);
+  EXPECT_EQ(ring->total(), 2u);
+
+  const std::vector<trace::Event> events = ring->snapshot();
+  ASSERT_EQ(events.size(), 2u);
+  EXPECT_EQ(events[0].at, 10);
+  EXPECT_EQ(events[0].kind, trace::EventKind::kSenderTx);
+  EXPECT_EQ(events[0].track, 0xFFFFu);
+  EXPECT_EQ(events[1].at, 20);
+  EXPECT_EQ(events[1].kind, trace::EventKind::kAckTx);
+  EXPECT_EQ(events[1].track, 3u);
+  EXPECT_EQ(events[1].a, 4u);
+  EXPECT_EQ(events[1].b, 5u);
+}
+
+TEST(HistoryRing, WrapsAroundKeepingTheNewest) {
+  auto ring = std::make_unique<trace::HistoryRing>();
+  constexpr std::size_t kCap = trace::HistoryRing::kCapacity;
+  for (std::size_t i = 0; i < kCap + 10; ++i) {
+    ring->append(static_cast<std::int64_t>(i), trace::EventKind::kReceiverRx, 0,
+                 static_cast<std::uint32_t>(i), 0);
+  }
+  EXPECT_EQ(ring->size(), kCap);  // bounded
+  EXPECT_EQ(ring->total(), kCap + 10);
+  const std::vector<trace::Event> events = ring->snapshot();
+  ASSERT_EQ(events.size(), kCap);
+  // The survivors are the newest kCap events, oldest first.
+  for (std::size_t i = 0; i < kCap; ++i) {
+    EXPECT_EQ(events[i].at, static_cast<std::int64_t>(10 + i));
+  }
+}
+
+TEST(HistoryRing, ClearEmptiesTheRing) {
+  auto ring = std::make_unique<trace::HistoryRing>();
+  for (int i = 0; i < 5; ++i) ring->append(i, trace::EventKind::kNakTx, 1, 0, 0);
+  ring->clear();
+  EXPECT_EQ(ring->size(), 0u);
+  EXPECT_EQ(ring->total(), 0u);
+  EXPECT_TRUE(ring->snapshot().empty());
+  ring->append(99, trace::EventKind::kDeliver, 1, 7, 0);
+  const std::vector<trace::Event> events = ring->snapshot();
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].at, 99);
+}
+
+TEST(HistoryRing, DumpsOneJsonObjectPerLine) {
+  auto ring = std::make_unique<trace::HistoryRing>();
+  ring->append(1500, trace::EventKind::kWindowStall, 0xFFFF, 42, 0);
+  ring->append(1600, trace::EventKind::kNakSuppressed, 2, 9, 1);
+  char* data = nullptr;
+  std::size_t size = 0;
+  FILE* mem = open_memstream(&data, &size);
+  ring->dump_jsonl(mem);
+  std::fclose(mem);
+  const std::string out(data, size);
+  free(data);
+  EXPECT_EQ(out,
+            "{\"t\": 1500, \"ev\": \"window_stall\", \"node\": 65535, \"a\": 42, "
+            "\"b\": 0}\n"
+            "{\"t\": 1600, \"ev\": \"nak_suppressed\", \"node\": 2, \"a\": 9, "
+            "\"b\": 1}\n");
+}
+
+TEST(HistoryRing, EachThreadHasItsOwn) {
+  const std::uint64_t before = trace::history().total();
+  std::uint64_t other_total = 0;
+  std::thread worker([&] {
+    trace::history().append(1, trace::EventKind::kSenderTx, 0, 0, 0);
+    other_total = trace::history().total();
+  });
+  worker.join();
+  EXPECT_EQ(other_total, 1u);
+  EXPECT_EQ(trace::history().total(), before);
+}
+
+TEST(Probe, RecordsIntoTheHistoryAndTheAttachedTracer) {
+  trace::Tracer tracer;
+  const std::uint16_t track = tracer.track("receiver.1", trace::TrackTier::kReceiver);
+  trace::Probe probe(1);
+  trace::history().clear();
+
+  probe.record(5, trace::EventKind::kReceiverRx, 3, 0);  // history only
+  probe.attach(&tracer, track);
+  probe.record(6, trace::EventKind::kReceiverRx, 3, 1);
+  probe.record(7, trace::EventKind::kAckTx, 4);
+
+  // The tracer holds what arrived while attached, on the probe's track.
+  ASSERT_EQ(tracer.events().size(), 2u);
+  EXPECT_EQ(tracer.events()[0], (trace::Event{6, trace::EventKind::kReceiverRx, track, 3, 1}));
+  EXPECT_EQ(tracer.events()[1], (trace::Event{7, trace::EventKind::kAckTx, track, 4, 0}));
+  // The history holds every event, stamped with the node id.
+  const std::vector<trace::Event> history = trace::history().snapshot();
+  ASSERT_EQ(history.size(), 3u);
+  for (const trace::Event& e : history) EXPECT_EQ(e.track, 1u);
+  EXPECT_EQ(history[0].at, 5);
+  EXPECT_EQ(history[2].kind, trace::EventKind::kAckTx);
+}
+
+// Runs one small transfer to completion — through `tracer` when non-null —
+// and then trips a real protocol invariant: send() on a busy sender.
+void transfer_then_panic(trace::Tracer* tracer) {
+  Testbed bed(2);
+  rmcast::ProtocolConfig config;
+  config.kind = rmcast::ProtocolKind::kAck;
+  config.packet_size = 8000;
+  config.window_size = 8;
+  rmcast::MulticastSender sender(bed.sender_runtime(), bed.sender_socket(),
+                                 bed.membership(), config);
+  std::vector<std::unique_ptr<rmcast::MulticastReceiver>> receivers;
+  for (std::size_t i = 0; i < 2; ++i) {
+    receivers.push_back(std::make_unique<rmcast::MulticastReceiver>(
+        bed.receiver_runtime(i), bed.receiver_data_socket(i),
+        bed.receiver_control_socket(i), bed.membership(), i, config));
+    if (tracer != nullptr) {
+      receivers[i]->set_tracer(tracer, tracer->track("receiver." + std::to_string(i),
+                                                     trace::TrackTier::kReceiver));
+    }
+  }
+  if (tracer != nullptr) {
+    sender.set_tracer(tracer, tracer->track("sender", trace::TrackTier::kSender));
+  }
+  Buffer message(20'000, 0x5A);
+  bool done = false;
+  sender.send(BytesView(message.data(), message.size()),
+              [&](const rmcast::SendOutcome&) { done = true; });
+  while (!done && bed.simulator().step()) {
+  }
+  sender.send(BytesView(message.data(), message.size()), nullptr);
+  sender.send(BytesView(message.data(), message.size()), nullptr);  // busy
+}
+
+// What panic() must print after the invariant message: the ring header,
+// then the transfer's events oldest first — sender transmissions, a
+// receiver delivery, the completion, and the second send's ALLOC_REQ.
+constexpr const char* kPanicHistory =
+    "sender is busy.*protocol history: last [0-9]+ of [0-9]+ events follow"
+    ".*\"ev\": \"sender_tx\", \"node\": 65535, \"a\": 0, \"b\": 0"
+    ".*\"ev\": \"deliver\", \"node\": 1"
+    ".*\"ev\": \"complete\", \"node\": 65535"
+    ".*\"ev\": \"alloc_req\", \"node\": 65535";
+
+TEST(PanicHistoryDeathTest, DumpsProtocolHistoryWithoutATracer) {
+  EXPECT_DEATH(transfer_then_panic(nullptr), kPanicHistory);
+}
+
+TEST(PanicHistoryDeathTest, DumpsProtocolHistoryWithATracerAttached) {
+  EXPECT_DEATH(
+      {
+        trace::Tracer tracer;
+        transfer_then_panic(&tracer);
+      },
+      kPanicHistory);
 }
 
 TEST(TracedRun, ErrorFreeSpanLifecycle) {
