@@ -19,7 +19,11 @@ void Socket::leave(net::Ipv4Addr group) {
 }
 
 void Socket::send_to(const net::Endpoint& dst, BytesView payload) {
-  host_->send_datagram(*this, dst, Buffer(payload.begin(), payload.end()));
+  host_->send_datagram(*this, dst, net::PayloadRef::copy_of(payload));
+}
+
+void Socket::send_ref(const net::Endpoint& dst, net::PayloadRef payload) {
+  host_->send_datagram(*this, dst, std::move(payload));
 }
 
 net::Endpoint Socket::local_endpoint() const { return {host_->addr(), port_}; }
@@ -33,7 +37,7 @@ Host::Host(sim::Simulator& simulator, std::string name, net::Ipv4Addr addr,
       params_(params),
       reassembler_(simulator, params.reassembly_timeout,
                    [this](Datagram d, std::size_t n_fragments) {
-                     deliver(std::move(d), n_fragments);
+                     deliver(d, n_fragments);
                    }) {}
 
 Socket* Host::open_socket() {
@@ -44,7 +48,7 @@ Socket* Host::open_socket() {
 }
 
 void Host::run_on_cpu(sim::Time cost, std::function<void()> fn) {
-  enqueue_cpu(CpuTask{cost, std::move(fn), 0});
+  enqueue_cpu(CpuTask{cost, std::move(fn), 0, {}, 0});
 }
 
 void Host::enqueue_cpu(CpuTask task) {
@@ -80,7 +84,11 @@ void Host::start_next_cpu_task() {
     CpuTask task = std::move(cpu_queue_.front());
     cpu_queue_.pop_front();
     cpu_busy_ = false;
-    task.fn();
+    if (task.fn) {
+      task.fn();
+    } else {
+      transmit(task.datagram, task.ident);
+    }
     if (!cpu_busy_ && !cpu_send_blocked_) start_next_cpu_task();
   });
 }
@@ -123,54 +131,55 @@ std::size_t datagram_wire_bytes(std::size_t payload_size) {
 
 }  // namespace
 
-void Host::send_datagram(Socket& socket, const net::Endpoint& dst, Buffer payload) {
+void Host::send_datagram(Socket& socket, const net::Endpoint& dst,
+                         net::PayloadRef payload) {
   RMC_ENSURE(payload.size() <= kMaxUdpPayload, "datagram exceeds UDP maximum");
   RMC_ENSURE(dst.port != 0, "destination port required");
   if (socket.port_ == 0) socket.port_ = ephemeral_port();
 
-  Datagram datagram{socket.local_endpoint(), dst, std::move(payload)};
-  const std::size_t n_fragments = fragment_count(datagram.payload.size());
+  const std::size_t size = payload.size();
   const sim::Time cost =
       params_.send_syscall +
-      static_cast<sim::Time>(params_.send_per_byte_ns *
-                             static_cast<double>(datagram.payload.size())) +
-      static_cast<sim::Time>(n_fragments) * params_.send_per_fragment;
+      static_cast<sim::Time>(params_.send_per_byte_ns * static_cast<double>(size)) +
+      static_cast<sim::Time>(fragment_count(size)) * params_.send_per_fragment;
   ++socket.stats_.datagrams_sent;
-  const std::size_t wire_bytes = datagram_wire_bytes(datagram.payload.size());
+  enqueue_cpu(CpuTask{cost, nullptr, datagram_wire_bytes(size),
+                      Datagram::whole(socket.local_endpoint(), dst, std::move(payload)),
+                      next_ident_++});
+}
 
-  const std::uint16_t ident = next_ident_++;
-  enqueue_cpu(CpuTask{cost, [this, datagram = std::move(datagram), ident] {
-    if (down_) {
-      // The process died (or was paused) before this send took effect:
-      // nothing reaches the wire.
-      ++stats_.frames_suppressed_down;
-      return;
+void Host::transmit(const Datagram& datagram, std::uint16_t ident) {
+  if (down_) {
+    // The process died (or was paused) before this send took effect:
+    // nothing reaches the wire.
+    ++stats_.frames_suppressed_down;
+    return;
+  }
+  const std::size_t n_fragments = fragment_count(datagram.length);
+  if (datagram.dst.addr == addr_) {
+    // Local delivery: no NIC involved.
+    deliver(datagram, n_fragments);
+    return;
+  }
+  net::MacAddr dst_mac;
+  if (datagram.dst.addr.is_multicast()) {
+    dst_mac = net::MacAddr::from_multicast_group(datagram.dst.addr);
+  } else {
+    RMC_ENSURE(mac_resolver_ != nullptr, "no MAC resolver configured");
+    dst_mac = mac_resolver_(datagram.dst.addr);
+  }
+  const BytesView payload = datagram.payload();
+  const std::uint32_t tag =
+      tracer_ == nullptr ? 0u : tracer_->tag_packet(payload.data(), payload.size());
+  for (std::size_t i = 0; i < n_fragments; ++i) {
+    ++stats_.frames_out;
+    if (frame_output_) {
+      net::Frame frame = net::make_frame(
+          dst_mac, mac_, build_fragment(datagram.src, datagram.dst, payload, ident, i));
+      frame.trace_tag = tag;
+      frame_output_(std::move(frame));
     }
-    if (datagram.dst.addr == addr_) {
-      // Local delivery: no NIC involved.
-      deliver(datagram, fragment_count(datagram.payload.size()));
-      return;
-    }
-    net::MacAddr dst_mac;
-    if (datagram.dst.addr.is_multicast()) {
-      dst_mac = net::MacAddr::from_multicast_group(datagram.dst.addr);
-    } else {
-      RMC_ENSURE(mac_resolver_ != nullptr, "no MAC resolver configured");
-      dst_mac = mac_resolver_(datagram.dst.addr);
-    }
-    const std::uint32_t tag =
-        tracer_ == nullptr ? 0u
-                           : tracer_->tag_packet(datagram.payload.data(),
-                                                 datagram.payload.size());
-    for (IpFragment& fragment : fragment_datagram(datagram, ident)) {
-      ++stats_.frames_out;
-      if (frame_output_) {
-        net::Frame frame = net::make_frame(dst_mac, mac_, fragment.serialize_arena());
-        frame.trace_tag = tag;
-        frame_output_(std::move(frame));
-      }
-    }
-  }, wire_bytes});
+  }
 }
 
 bool Host::accepts_mac(net::MacAddr dst) const {
@@ -193,12 +202,10 @@ void Host::handle_frame(const net::Frame& frame) {
   cpu_horizon_ = std::max(cpu_horizon_, sim_.now()) + params_.interrupt_per_frame;
   stats_.cpu_busy += params_.interrupt_per_frame;
 
-  auto fragment = IpFragment::parse(frame.payload.view());
-  if (!fragment) return;
-  reassembler_.accept(*fragment);
+  reassembler_.accept(frame.payload);
 }
 
-void Host::deliver(Datagram datagram, std::size_t n_fragments) {
+void Host::deliver(const Datagram& datagram, std::size_t n_fragments) {
   // Multicast datagrams fan out to every socket joined to the group on the
   // destination port; unicast delivers to the first matching socket.
   bool matched = false;
@@ -212,30 +219,31 @@ void Host::deliver(Datagram datagram, std::size_t n_fragments) {
     matched = true;
 
     Socket* s = socket.get();
-    if (s->pending_bytes_ + datagram.payload.size() > s->rcvbuf_bytes_) {
+    const std::size_t size = datagram.length;
+    if (s->pending_bytes_ + size > s->rcvbuf_bytes_) {
       ++s->stats_.rcvbuf_drops;
       if (tracer_) {
+        const BytesView payload = datagram.payload();
         tracer_->drop(sim_.now(), trace_track_,
-                      tracer_->tag_packet(datagram.payload.data(),
-                                          datagram.payload.size()),
+                      tracer_->tag_packet(payload.data(), payload.size()),
                       trace::DropCause::kRcvbufOverflow);
       }
       RMC_TRACE("%s: rcvbuf overflow on port %u", name_.c_str(), s->port_);
       continue;
     }
-    s->pending_bytes_ += datagram.payload.size();
+    s->pending_bytes_ += size;
+    // Every socket the datagram reaches shares its block.
     s->queue_.push_back(Socket::Queued{datagram, n_fragments});
 
     const sim::Time cost =
         params_.recv_syscall +
-        static_cast<sim::Time>(params_.recv_per_byte_ns *
-                               static_cast<double>(datagram.payload.size())) +
+        static_cast<sim::Time>(params_.recv_per_byte_ns * static_cast<double>(size)) +
         static_cast<sim::Time>(n_fragments) * params_.recv_per_fragment;
     run_on_cpu(cost, [this, s] {
       RMC_ENSURE(!s->queue_.empty(), "socket delivery with empty queue");
       Socket::Queued item = std::move(s->queue_.front());
       s->queue_.pop_front();
-      s->pending_bytes_ -= item.datagram.payload.size();
+      s->pending_bytes_ -= item.datagram.length;
       ++s->stats_.datagrams_delivered;
       if (s->handler_) s->handler_(item.datagram);
     });

@@ -53,9 +53,14 @@ class Socket {
   void set_handler(Handler handler) { handler_ = std::move(handler); }
   void set_rcvbuf(std::size_t bytes) { rcvbuf_bytes_ = bytes; }
 
-  // Sends a datagram; the payload is copied. Charges the host CPU and then
-  // hands fragments to the NIC.
+  // Sends a datagram; the payload is copied once, into an arena block.
+  // Charges the host CPU and then hands fragments to the NIC.
   void send_to(const net::Endpoint& dst, BytesView payload);
+  // Zero-copy variant: the socket keeps a reference to `payload` until
+  // the send takes effect, then writes each fragment's frame from it.
+  // Holders of the block must not write to it afterwards (PayloadRef's
+  // copy-on-write guarantees as much for shared blocks).
+  void send_ref(const net::Endpoint& dst, net::PayloadRef payload);
 
   net::Endpoint local_endpoint() const;
   const Stats& stats() const { return stats_; }
@@ -162,18 +167,23 @@ class Host {
  private:
   friend class Socket;
 
+  // One unit of CPU work: either `fn`, or — when `fn` is empty — a
+  // sendto() that puts `datagram` on the wire.
   struct CpuTask {
     sim::Time cost;
     std::function<void()> fn;
     // Non-zero marks a sendto(): the task may not start until this many
     // wire bytes fit into the transmit backlog (SO_SNDBUF).
     std::size_t send_wire_bytes = 0;
+    Datagram datagram;
+    std::uint16_t ident = 0;
   };
 
-  void send_datagram(Socket& socket, const net::Endpoint& dst, Buffer payload);
+  void send_datagram(Socket& socket, const net::Endpoint& dst, net::PayloadRef payload);
+  void transmit(const Datagram& datagram, std::uint16_t ident);
   void handle_frame(const net::Frame& frame);
   bool accepts_mac(net::MacAddr dst) const;
-  void deliver(Datagram datagram, std::size_t n_fragments);
+  void deliver(const Datagram& datagram, std::size_t n_fragments);
   void on_join(net::Ipv4Addr group);
   void on_leave(net::Ipv4Addr group);
   std::uint16_t ephemeral_port();

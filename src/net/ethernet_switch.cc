@@ -68,11 +68,19 @@ void EthernetSwitch::handle_frame(std::size_t ingress_port, const Frame& frame) 
   // valid sources, so no check is needed before learning.
   fdb_[frame.src] = ingress_port;
 
+  // The forwarding latency models table lookup and crossbar transfer; the
+  // egress TxPorts then charge queueing and serialization. One event per
+  // ingress frame hands the frame to every egress port in port order —
+  // exactly the order separate per-port events at the same instant, with
+  // consecutive scheduling order, would run in.
   if (!frame.is_group_addressed()) {
     if (auto it = fdb_.find(frame.dst); it != fdb_.end()) {
       if (it->second != ingress_port) {
         ++stats_.frames_forwarded;
-        enqueue(it->second, frame);
+        sim_.schedule_after(params_.forwarding_latency,
+                            [this, egress = it->second, frame] {
+                              ports_[egress]->send(frame);
+                            });
       } else {
         // Destination is behind the ingress port: filter (drop) the frame.
         ++stats_.frames_filtered;
@@ -82,9 +90,17 @@ void EthernetSwitch::handle_frame(std::size_t ingress_port, const Frame& frame) 
   } else if (params_.multicast_snooping && !frame.dst.is_broadcast()) {
     if (auto it = group_ports_.find(frame.dst); it != group_ports_.end()) {
       ++stats_.frames_snoop_forwarded;
+      // The egress set is fixed at ingress: a leave processed while the
+      // frame crosses the fabric does not recall it.
+      std::vector<std::size_t> egress;
+      egress.reserve(it->second.size());
       for (const auto& [port, refs] : it->second) {
-        if (port != ingress_port) enqueue(port, frame);
+        if (port != ingress_port) egress.push_back(port);
       }
+      sim_.schedule_after(params_.forwarding_latency,
+                          [this, egress = std::move(egress), frame] {
+                            for (std::size_t port : egress) ports_[port]->send(frame);
+                          });
       return;
     }
     // Unregistered group: fall through to flooding, as snooping switches
@@ -92,9 +108,12 @@ void EthernetSwitch::handle_frame(std::size_t ingress_port, const Frame& frame) 
   }
   // Multicast, broadcast, or unknown unicast: flood.
   ++stats_.frames_flooded;
-  for (std::size_t p = 0; p < ports_.size(); ++p) {
-    if (p != ingress_port) enqueue(p, frame);
-  }
+  sim_.schedule_after(params_.forwarding_latency,
+                      [this, ingress = static_cast<std::uint32_t>(ingress_port), frame] {
+                        for (std::size_t p = 0; p < ports_.size(); ++p) {
+                          if (p != ingress) ports_[p]->send(frame);
+                        }
+                      });
 }
 
 void EthernetSwitch::register_group_port(MacAddr group, std::size_t port) {
@@ -125,13 +144,6 @@ std::size_t EthernetSwitch::max_port_queue_now() const {
     depth = std::max(depth, port->queue_length());
   }
   return depth;
-}
-
-void EthernetSwitch::enqueue(std::size_t egress_port, const Frame& frame) {
-  // The forwarding latency models table lookup and crossbar transfer; the
-  // egress TxPort then charges queueing and serialization.
-  sim_.schedule_after(params_.forwarding_latency,
-                      [this, egress_port, frame] { ports_[egress_port]->send(frame); });
 }
 
 }  // namespace rmc::net

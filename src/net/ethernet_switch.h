@@ -89,8 +89,6 @@ class EthernetSwitch {
   std::size_t max_port_queue_now() const;
 
  private:
-  void enqueue(std::size_t egress_port, const Frame& frame);
-
   sim::Simulator& sim_;
   SwitchParams params_;
   trace::Tracer* tracer_ = nullptr;

@@ -26,7 +26,6 @@ inline constexpr std::size_t kEthPreambleAndIfgBytes = 20;  // 8 preamble/SFD + 
 struct Frame {
   MacAddr dst;
   MacAddr src;
-  std::uint16_t ethertype = 0x0800;  // IPv4
   // Arena-pooled and refcounted so switch flooding shares one block per
   // payload instead of copying per egress port; frames are immutable once
   // transmitted (fault hooks that tamper go through PayloadRef's
@@ -37,6 +36,10 @@ struct Frame {
   // switch hops and fragment copies so a drop anywhere on the path can
   // name the protocol packet it killed. 0 = untraced.
   std::uint32_t trace_tag = 0;
+  std::uint16_t ethertype = 0x0800;  // IPv4
+  // (Field order keeps a Frame at 32 bytes, so a switch's forwarding
+  // event — the frame plus the switch and a port number — fits the event
+  // core's inline callback storage.)
 
   std::size_t payload_size() const { return payload.size(); }
 
@@ -49,17 +52,17 @@ struct Frame {
 
   bool is_group_addressed() const { return dst.is_group(); }
 };
+static_assert(sizeof(Frame) <= 32, "Frame outgrew a switch forwarding event's inline capture");
 
 inline Frame make_frame(MacAddr dst, MacAddr src, PayloadRef payload) {
-  return Frame{dst, src, 0x0800, std::move(payload)};
+  return Frame{dst, src, std::move(payload)};
 }
 
 // Convenience for call sites that already materialized a Buffer (tests,
 // mostly): copies the bytes into an arena block. The zero-copy path is to
-// serialize straight into a PayloadRef (see IpFragment::serialize_arena).
+// serialize straight into a PayloadRef (see inet::build_fragment).
 inline Frame make_frame(MacAddr dst, MacAddr src, const Buffer& payload) {
-  return Frame{dst, src, 0x0800,
-               PayloadRef::copy_of(BytesView(payload.data(), payload.size()))};
+  return Frame{dst, src, PayloadRef::copy_of(BytesView(payload.data(), payload.size()))};
 }
 
 }  // namespace rmc::net

@@ -42,8 +42,11 @@ void FrameArena::recycle(detail::PayloadBlock* block) {
   if (block->capacity == kStandardCapacity) {
     free_.push_back(block);
   } else {
-    // Oversize blocks are rare (jumbo payloads only exist in tests); keep
-    // the free list homogeneous so acquire() never has to size-match.
+    // Oversize blocks hold whole datagrams over one MTU: the block a
+    // protocol serializes a large packet into on send, and the block a
+    // fragmented datagram is reassembled into on receive. They vary in
+    // size, so they are freed here, keeping the free list homogeneous so
+    // acquire() never has to size-match.
     block->~PayloadBlock();
     ::operator delete(static_cast<void*>(block));
   }

@@ -55,7 +55,8 @@ struct PayloadBlock {
 }  // namespace detail
 
 // Per-thread pool of payload blocks. Blocks at the standard capacity (one
-// MTU — every real frame) are recycled; rare oversize payloads get an
+// MTU — every real frame) are recycled; payloads over one MTU (a whole
+// datagram larger than a frame, on send or after reassembly) get an
 // exact-sized block that is freed on release.
 class FrameArena {
  public:

@@ -94,12 +94,17 @@ class EventFn {
 // One pooled event. `seq` is the global scheduling order (the FIFO
 // tiebreaker for equal times); `gen` is bumped every time the record is
 // recycled so stale EventIds can never reach a reused record; `next` links
-// the record into a timer-wheel slot list or the pool's free list.
+// the record into a timer-wheel slot list or the pool's free list, and
+// `prev`, `level` and `slot` locate it in the wheel so a cancel can unlink
+// it at once.
 struct EventRecord {
   Time at = 0;
   std::uint64_t seq = 0;
   std::uint32_t gen = 1;
   std::uint32_t next = kNilIndex;
+  std::uint32_t prev = kNilIndex;
+  std::uint8_t level = 0;
+  std::uint8_t slot = 0;
   bool armed = false;
   EventFn fn;
 };

@@ -74,8 +74,9 @@ void Simulator::cancel(EventId id) {
   EventRecord& rec = pool_.at(idx);
   if (rec.gen != gen || !rec.armed) return;  // stale id, or already fired
   rec.armed = false;
-  rec.fn.reset();  // free captured resources now; the link is reaped lazily
+  rec.fn.reset();  // free captured resources now
   --live_;
+  wheel_.remove(idx);
 }
 
 bool Simulator::legacy_step() {

@@ -11,7 +11,7 @@
 //     small-buffer callback storage and generation-counted ids, organized
 //     by a hierarchical timer wheel (sim/event_pool.h, sim/timer_wheel.h).
 //     Scheduling does no allocation in steady state and cancel() is an
-//     O(1) disarm, which is what the cancel/re-arm-heavy retransmission
+//     O(1) unlink, which is what the cancel/re-arm-heavy retransmission
 //     and poll timers need.
 //   * kLegacyHeap — the original std::function + binary-heap +
 //     unordered_map implementation, kept as an executable specification:
@@ -19,9 +19,9 @@
 //     and the BM_EventChurn microbenchmark gates the pooled core's speedup
 //     against it.
 //
-// Cancellation is lazy in both cores: cancel() disarms the event (and
-// frees its callback immediately); the dead entry is reaped when the
-// scheduler reaches it.
+// cancel() frees the event's callback immediately in both cores. The
+// pooled wheel also unlinks and recycles the record at once; the legacy
+// heap leaves a dead entry that is reaped when the scheduler reaches it.
 #pragma once
 
 #include <cstdint>

@@ -7,12 +7,20 @@
 
 namespace rmc::sim {
 
+namespace {
+
+// Execution order: earlier time first, then scheduling order.
+bool runs_before(const EventRecord& a, const EventRecord& b) {
+  return a.at != b.at ? a.at < b.at : a.seq < b.seq;
+}
+
+}  // namespace
+
 int TimerWheel::level_for(Time at) const {
   const std::uint64_t a = static_cast<std::uint64_t>(at);
   const std::uint64_t b = static_cast<std::uint64_t>(base_);
   for (int level = 0; level < kLevels; ++level) {
-    const int shift = kSlotBits * level;
-    if ((a >> shift) - (b >> shift) < kSlots) return level;
+    if ((a >> shift(level)) - (b >> shift(level)) < kSlots) return level;
   }
   return kLevels;
 }
@@ -22,12 +30,13 @@ void TimerWheel::insert(std::uint32_t idx) {
   RMC_ENSURE(rec.at >= base_, "event linked before the wheel's base time");
   const int level = level_for(rec.at);
   if (level >= kLevels) {
+    rec.level = kLevels;
     overflow_.push_back(idx);
     overflow_min_ = std::min(overflow_min_, rec.at);
     return;
   }
   const std::uint32_t slot = static_cast<std::uint32_t>(
-      static_cast<std::uint64_t>(rec.at) >> (kSlotBits * level)) & kSlotMask;
+      static_cast<std::uint64_t>(rec.at) >> shift(level)) & kSlotMask;
   if (level == 0) {
     link_level0_sorted(slot, idx);
   } else {
@@ -37,49 +46,69 @@ void TimerWheel::insert(std::uint32_t idx) {
 
 void TimerWheel::link(int level, std::uint32_t slot, std::uint32_t idx) {
   EventRecord& rec = pool_.at(idx);
+  rec.level = static_cast<std::uint8_t>(level);
+  rec.slot = static_cast<std::uint8_t>(slot);
   rec.next = kNilIndex;
-  if (heads_[level][slot] == kNilIndex) {
+  rec.prev = tails_[level][slot];
+  if (rec.prev == kNilIndex) {
     heads_[level][slot] = idx;
   } else {
-    pool_.at(tails_[level][slot]).next = idx;
+    pool_.at(rec.prev).next = idx;
   }
   tails_[level][slot] = idx;
   occupied_[level] |= 1ull << slot;
 }
 
 void TimerWheel::link_level0_sorted(std::uint32_t slot, std::uint32_t idx) {
-  // A level-0 slot is a single nanosecond, so ordering within it is purely
-  // the FIFO tiebreaker `seq`. Freshly scheduled events always carry the
-  // largest seq (append, O(1)); only records cascading down from coarser
-  // levels can be older than the tail, and those walk.
+  // A level-0 slot spans 2^kL0Shift ns and is kept sorted by (at, seq).
+  // Walk back from the tail to the last record that runs before this one.
+  // A freshly scheduled event carries the largest seq and usually the
+  // latest time in its slot, so the walk is usually empty.
   EventRecord& rec = pool_.at(idx);
-  occupied_[0] |= 1ull << slot;
-  const std::uint32_t head = heads_[0][slot];
-  if (head == kNilIndex) {
-    rec.next = kNilIndex;
-    heads_[0][slot] = tails_[0][slot] = idx;
+  std::uint32_t before = tails_[0][slot];
+  while (before != kNilIndex && runs_before(rec, pool_.at(before))) {
+    before = pool_.at(before).prev;
+  }
+  if (before == tails_[0][slot]) {
+    link(0, slot, idx);
     return;
   }
-  const std::uint32_t tail = tails_[0][slot];
-  if (pool_.at(tail).seq < rec.seq) {
-    rec.next = kNilIndex;
-    pool_.at(tail).next = idx;
-    tails_[0][slot] = idx;
-    return;
-  }
-  if (rec.seq < pool_.at(head).seq) {
-    rec.next = head;
+  rec.level = 0;
+  rec.slot = static_cast<std::uint8_t>(slot);
+  rec.prev = before;
+  if (before == kNilIndex) {
+    rec.next = heads_[0][slot];
     heads_[0][slot] = idx;
-    return;
+  } else {
+    rec.next = pool_.at(before).next;
+    pool_.at(before).next = idx;
   }
-  std::uint32_t prev = head;
-  while (pool_.at(prev).next != kNilIndex &&
-         pool_.at(pool_.at(prev).next).seq < rec.seq) {
-    prev = pool_.at(prev).next;
+  pool_.at(rec.next).prev = idx;  // not the tail, so a successor exists
+}
+
+void TimerWheel::unlink(std::uint32_t idx) {
+  EventRecord& rec = pool_.at(idx);
+  std::uint32_t& head = heads_[rec.level][rec.slot];
+  std::uint32_t& tail = tails_[rec.level][rec.slot];
+  if (rec.prev == kNilIndex) {
+    head = rec.next;
+  } else {
+    pool_.at(rec.prev).next = rec.next;
   }
-  rec.next = pool_.at(prev).next;
-  pool_.at(prev).next = idx;
-  if (rec.next == kNilIndex) tails_[0][slot] = idx;
+  if (rec.next == kNilIndex) {
+    tail = rec.prev;
+  } else {
+    pool_.at(rec.next).prev = rec.prev;
+  }
+  if (head == kNilIndex) occupied_[rec.level] &= ~(1ull << rec.slot);
+  rec.next = kNilIndex;
+  rec.prev = kNilIndex;
+}
+
+void TimerWheel::remove(std::uint32_t idx) {
+  if (pool_.at(idx).level >= kLevels) return;  // overflow: released on migration
+  unlink(idx);
+  pool_.release(idx);
 }
 
 std::uint32_t TimerWheel::unlink_all(int level, std::uint32_t slot) {
@@ -97,27 +126,9 @@ void TimerWheel::cascade(int level, std::uint32_t slot, Time slot_start) {
   std::uint32_t idx = unlink_all(level, slot);
   while (idx != kNilIndex) {
     const std::uint32_t next = pool_.at(idx).next;
-    EventRecord& rec = pool_.at(idx);
-    rec.next = kNilIndex;
-    if (rec.armed) {
-      insert(idx);  // lands at a strictly lower level
-    } else {
-      pool_.release(idx);
-    }
+    insert(idx);  // lands at a strictly lower level
     idx = next;
   }
-}
-
-void TimerWheel::reap_level0_front(std::uint32_t slot) {
-  const std::uint32_t head = heads_[0][slot];
-  EventRecord& rec = pool_.at(head);
-  heads_[0][slot] = rec.next;
-  if (rec.next == kNilIndex) {
-    tails_[0][slot] = kNilIndex;
-    occupied_[0] &= ~(1ull << slot);
-  }
-  rec.next = kNilIndex;
-  pool_.release(head);
 }
 
 bool TimerWheel::migrate_overflow(Time wheel_candidate) {
@@ -157,15 +168,17 @@ std::uint32_t TimerWheel::find_next() {
     Time best_time = kNever;
     for (int level = 0; level < kLevels; ++level) {
       if (occupied_[level] == 0) continue;
-      const int shift = kSlotBits * level;
-      const std::uint64_t qb = static_cast<std::uint64_t>(base_) >> shift;
+      const std::uint64_t qb = static_cast<std::uint64_t>(base_) >> shift(level);
       const std::uint32_t c = static_cast<std::uint32_t>(qb) & kSlotMask;
       const int d = std::countr_zero(std::rotr(occupied_[level], static_cast<int>(c)));
       const std::uint64_t q = qb + static_cast<std::uint64_t>(d);
-      Time t = static_cast<Time>(q << shift);
-      if (t < base_) t = base_;  // current, partially elapsed coarse slot
+      Time t = static_cast<Time>(q << shift(level));
+      if (t < base_) t = base_;  // current, partially elapsed slot
       // On ties prefer the coarser level so its records cascade down and
-      // contend by exact (at, seq) before anything executes.
+      // contend by exact (at, seq) before anything executes. A coarser
+      // slot that starts after the level-0 candidate starts at least one
+      // level-0 slot later, so it cannot hold anything due before the
+      // level-0 slot's head.
       if (t < best_time || (t == best_time && level > best_level)) {
         best_time = t;
         best_level = level;
@@ -188,27 +201,16 @@ std::uint32_t TimerWheel::find_next() {
       continue;
     }
     const std::uint32_t head = heads_[0][best_slot];
-    EventRecord& rec = pool_.at(head);
-    if (!rec.armed) {
-      reap_level0_front(best_slot);
-      continue;
-    }
-    base_ = rec.at;
+    base_ = pool_.at(head).at;
     return head;
   }
 }
 
 void TimerWheel::extract_front(std::uint32_t idx) {
-  EventRecord& rec = pool_.at(idx);
-  const std::uint32_t slot =
-      static_cast<std::uint32_t>(static_cast<std::uint64_t>(rec.at)) & kSlotMask;
-  RMC_ENSURE(heads_[0][slot] == idx, "extract_front on a non-front record");
-  heads_[0][slot] = rec.next;
-  if (rec.next == kNilIndex) {
-    tails_[0][slot] = kNilIndex;
-    occupied_[0] &= ~(1ull << slot);
-  }
-  rec.next = kNilIndex;
+  const EventRecord& rec = pool_.at(idx);
+  RMC_ENSURE(rec.level == 0 && heads_[0][rec.slot] == idx,
+             "extract_front on a non-front record");
+  unlink(idx);
 }
 
 Time TimerWheel::next_time() {

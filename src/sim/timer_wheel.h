@@ -1,19 +1,29 @@
 // Hierarchical timer wheel over pooled event records.
 //
-// Eight levels of 64 slots each, one-nanosecond ticks: level L buckets
-// events whose quantized distance from the wheel's base time fits in 64
-// slots of width 2^(6L) ns, which covers deltas up to 2^48 ns (~78 hours)
-// before spilling into an overflow list. Insertion and cancellation are
-// O(1); finding the next event is a handful of bitmap rotations; when a
-// coarse slot comes due its records cascade down one level at a time until
-// they surface in level 0, where a slot holds exactly one nanosecond and
-// records are kept in scheduling order (`seq`), preserving the simulator's
-// FIFO-at-equal-time determinism contract exactly.
+// Eight levels of 64 slots each. A level-0 slot is 2^kL0Shift ns (~1 µs)
+// wide and level L's slots are 2^(kL0Shift + 6L) ns wide, so level L
+// buckets events whose quantized distance from the wheel's base time fits
+// in 64 of its slots; that covers deltas up to 2^kHorizonBits ns (~9
+// years) before spilling into an overflow list. Finding the next event is
+// a handful of bitmap rotations; when a coarse slot comes due its records
+// cascade down one level at a time until they surface in level 0. A
+// level-0 slot keeps its records sorted by (at, seq), so its head is
+// always the slot's earliest event and equal times run in scheduling
+// order, preserving the simulator's FIFO-at-equal-time determinism
+// contract exactly.
 //
-// The cancel/re-arm pattern of retransmission and poll timers is the
-// design target: a cancelled record merely disarms in place (its callback
-// is destroyed immediately, its slot link is reaped lazily), so re-arming
-// a timer never touches a heap or a hash table.
+// Why ~1 µs and not 1 ns: with one-nanosecond level-0 slots, an event a
+// few tens of µs out (a frame's serialization time) lands in level 1 or 2
+// and is re-linked two or three times before it runs. With µs-wide slots
+// the same event is linked straight into level 0 and most cascades are one
+// or two inserts. The price is a sorted insert inside the slot. It walks
+// back from the tail, so it costs one step per live record due after the
+// new one in the same slot: none for the usual freshly scheduled event.
+//
+// Slot lists are doubly linked, so cancelling unlinks and recycles the
+// record at once (O(1)). The cancel/re-arm pattern of retransmission and
+// poll timers therefore never leaves dead records for a walk or a cascade
+// to step over, and never touches a heap or a hash table.
 #pragma once
 
 #include <array>
@@ -30,8 +40,12 @@ class TimerWheel {
   static constexpr int kSlotBits = 6;
   static constexpr int kSlots = 1 << kSlotBits;        // 64
   static constexpr std::uint32_t kSlotMask = kSlots - 1;
-  static constexpr int kLevels = 8;                    // horizon 2^48 ns
-  static constexpr int kHorizonBits = kSlotBits * kLevels;
+  static constexpr int kL0Shift = 10;                  // level-0 slot: 1024 ns
+  static constexpr int kLevels = 8;
+  static constexpr int kHorizonBits = kL0Shift + kSlotBits * kLevels;  // 2^58 ns
+
+  // log2 of one slot's width at `level`, in ns.
+  static constexpr int shift(int level) { return kL0Shift + kSlotBits * level; }
 
   explicit TimerWheel(EventPool& pool) : pool_(pool) {
     for (auto& h : heads_) h.fill(kNilIndex);
@@ -45,11 +59,15 @@ class TimerWheel {
   // wheel. `at` must be >= base().
   void insert(std::uint32_t idx);
 
+  // Takes a cancelled (disarmed) record out of the wheel and releases it
+  // to the pool. A record past the horizon is released when the overflow
+  // list is next migrated instead.
+  void remove(std::uint32_t idx);
+
   // Index of the next record to execute — the armed record with the
   // smallest (at, seq) — after cascading whatever coarse slots stand in
-  // the way and reaping cancelled records. Returns kNilIndex if no armed
-  // record remains. The record is left linked; call extract_front() to
-  // detach it.
+  // the way. Returns kNilIndex if no armed record remains. The record is
+  // left linked; call extract_front() to detach it.
   std::uint32_t find_next();
 
   // Detaches the record find_next() returned (it must still be the level-0
@@ -67,9 +85,9 @@ class TimerWheel {
   int level_for(Time at) const;
   void link(int level, std::uint32_t slot, std::uint32_t idx);
   void link_level0_sorted(std::uint32_t slot, std::uint32_t idx);
+  void unlink(std::uint32_t idx);
   std::uint32_t unlink_all(int level, std::uint32_t slot);
   void cascade(int level, std::uint32_t slot, Time slot_start);
-  void reap_level0_front(std::uint32_t slot);
   bool migrate_overflow(Time wheel_candidate);
 
   EventPool& pool_;

@@ -2,10 +2,12 @@
 // host CPU model, socket semantics, buffer overflow, and topologies.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <set>
 #include <vector>
 
+#include "common/rng.h"
 #include "inet/cluster.h"
 #include "inet/host.h"
 #include "inet/ip.h"
@@ -19,15 +21,52 @@ Buffer pattern(std::size_t n) {
   return b;
 }
 
+Buffer bytes_of(const Datagram& d) {
+  const BytesView v = d.payload();
+  return Buffer(v.begin(), v.end());
+}
+
+Datagram make_datagram(std::size_t size) {
+  const Buffer payload = pattern(size);
+  return Datagram::whole({net::Ipv4Addr(10, 0, 0, 1), 1111},
+                         {net::Ipv4Addr(10, 0, 0, 2), 2222},
+                         net::PayloadRef::copy_of(BytesView(payload.data(), payload.size())));
+}
+
+// A hand-made fragment of a datagram from 10.0.0.1 to 10.0.0.2: `data`
+// lands at `offset` of a `total`-byte UDP segment.
+net::PayloadRef raw_fragment(std::uint16_t ident, std::uint32_t offset,
+                             std::uint32_t total, BytesView data) {
+  IpFragment f;
+  f.src = net::Ipv4Addr(10, 0, 0, 1);
+  f.dst = net::Ipv4Addr(10, 0, 0, 2);
+  f.ident = ident;
+  f.offset = offset;
+  f.total_bytes = total;
+  f.more_fragments = offset + data.size() < total;
+  f.data = data;
+  return f.serialize();
+}
+
+// A UDP segment (header + pattern payload) whose length field says
+// `claimed_length`.
+Buffer udp_segment(std::size_t payload_bytes, std::uint16_t claimed_length) {
+  Buffer seg = pattern(kUdpHeaderBytes + payload_bytes);
+  seg[0] = 0x04;  // src port 1111
+  seg[1] = 0x57;
+  seg[2] = 0x08;  // dst port 2222
+  seg[3] = 0xAE;
+  seg[4] = static_cast<std::uint8_t>(claimed_length >> 8);
+  seg[5] = static_cast<std::uint8_t>(claimed_length);
+  return seg;
+}
+
 class FragmentationTest : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(FragmentationTest, RoundTripsThroughReassembly) {
   const std::size_t size = GetParam();
   sim::Simulator sim;
-  Datagram in;
-  in.src = {net::Ipv4Addr(10, 0, 0, 1), 1111};
-  in.dst = {net::Ipv4Addr(10, 0, 0, 2), 2222};
-  in.payload = pattern(size);
+  const Datagram in = make_datagram(size);
 
   std::vector<Datagram> out;
   std::size_t out_fragments = 0;
@@ -38,17 +77,11 @@ TEST_P(FragmentationTest, RoundTripsThroughReassembly) {
 
   auto fragments = fragment_datagram(in, 42);
   EXPECT_EQ(fragments.size(), fragment_count(size));
-  for (const auto& f : fragments) {
-    // Serialize and re-parse, as the wire does.
-    Buffer bytes = f.serialize();
-    auto parsed = IpFragment::parse(BytesView(bytes.data(), bytes.size()));
-    ASSERT_TRUE(parsed.has_value());
-    reassembler.accept(*parsed);
-  }
+  for (const auto& f : fragments) reassembler.accept(f);
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].src, in.src);
   EXPECT_EQ(out[0].dst, in.dst);
-  EXPECT_EQ(out[0].payload, in.payload);
+  EXPECT_EQ(bytes_of(out[0]), bytes_of(in));
   EXPECT_EQ(out_fragments, fragments.size());
   EXPECT_EQ(reassembler.pending(), 0u);
 }
@@ -57,17 +90,35 @@ INSTANTIATE_TEST_SUITE_P(Sizes, FragmentationTest,
                          ::testing::Values(0, 1, 100, 1471, 1472, 1473, 2960, 8192,
                                            50000, 65507));
 
-TEST(Fragmentation, SerializeArenaMatchesBufferSerialize) {
-  Datagram in;
-  in.src = {net::Ipv4Addr(10, 0, 0, 1), 1111};
-  in.dst = {net::Ipv4Addr(10, 0, 0, 2), 2222};
-  in.payload = pattern(3000);
-  for (const auto& f : fragment_datagram(in, 99)) {
-    Buffer via_buffer = f.serialize();
-    net::PayloadRef via_arena = f.serialize_arena();
-    ASSERT_EQ(via_arena.size(), via_buffer.size());
-    EXPECT_EQ(0, std::memcmp(via_arena.data(), via_buffer.data(), via_buffer.size()));
+TEST(Fragmentation, FragmentsCarryHeadersAndOneSliceEach) {
+  const Datagram in = make_datagram(3000);
+  const Buffer payload = bytes_of(in);
+  const auto fragments = fragment_datagram(in, 99);
+  ASSERT_EQ(fragments.size(), 3u);
+  std::size_t segment_offset = 0;
+  for (std::size_t i = 0; i < fragments.size(); ++i) {
+    const auto f = IpFragment::parse(fragments[i].view());
+    ASSERT_TRUE(f.has_value());
+    EXPECT_EQ(f->src, in.src.addr);
+    EXPECT_EQ(f->dst, in.dst.addr);
+    EXPECT_EQ(f->ident, 99);
+    EXPECT_EQ(f->offset, segment_offset);
+    EXPECT_EQ(f->total_bytes, kUdpHeaderBytes + payload.size());
+    EXPECT_EQ(f->more_fragments, i + 1 < fragments.size());
+    // The parsed body is a view into the frame block, not a copy.
+    EXPECT_EQ(f->data.data(), fragments[i].data() + kIpHeaderBytes);
+    // Re-serializing the parsed fragment reproduces the frame.
+    const net::PayloadRef again = f->serialize();
+    ASSERT_EQ(again.size(), fragments[i].size());
+    EXPECT_EQ(0, std::memcmp(again.data(), fragments[i].data(), again.size()));
+    // Payload bytes sit after the UDP header in the first fragment only.
+    const std::size_t body_at = i == 0 ? kUdpHeaderBytes : 0;
+    const std::size_t payload_at = i == 0 ? 0 : segment_offset - kUdpHeaderBytes;
+    EXPECT_EQ(0, std::memcmp(f->data.data() + body_at, payload.data() + payload_at,
+                             f->data.size() - body_at));
+    segment_offset += f->data.size();
   }
+  EXPECT_EQ(segment_offset, kUdpHeaderBytes + payload.size());
 }
 
 TEST(Fragmentation, FragmentCounts) {
@@ -77,33 +128,70 @@ TEST(Fragmentation, FragmentCounts) {
   EXPECT_EQ(fragment_count(65507), 45u);
 }
 
+TEST(Fragmentation, SingleFrameDatagramsSkipTheReassemblyTable) {
+  sim::Simulator sim;
+  std::vector<Datagram> out;
+  Reassembler* self = nullptr;
+  Reassembler reassembler(sim, sim::milliseconds(100), [&](Datagram d, std::size_t nf) {
+    EXPECT_EQ(nf, 1u);
+    EXPECT_EQ(self->pending(), 0u);
+    out.push_back(std::move(d));
+  });
+  self = &reassembler;
+  std::vector<net::PayloadRef> frames;
+  for (std::size_t size : {std::size_t{0}, std::size_t{500}, std::size_t{1300},
+                           std::size_t{1472}}) {
+    auto fragments = fragment_datagram(make_datagram(size), static_cast<std::uint16_t>(size));
+    ASSERT_EQ(fragments.size(), 1u);
+    reassembler.accept(fragments[0]);
+    EXPECT_EQ(reassembler.pending(), 0u);
+    frames.push_back(fragments[0]);
+  }
+  ASSERT_EQ(out.size(), frames.size());
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    // Delivered straight from the frame's block: no copy was made.
+    EXPECT_EQ(out[i].payload().data(),
+              frames[i].data() + kIpHeaderBytes + kUdpHeaderBytes);
+    EXPECT_EQ(out[i].length, frames[i].size() - kIpHeaderBytes - kUdpHeaderBytes);
+  }
+  // The expiry sweep is still armed, exactly once, as for a datagram that
+  // went through the table.
+  EXPECT_EQ(sim.live_events(), 1u);
+  sim.run();
+  EXPECT_EQ(reassembler.timeouts(), 0u);
+  EXPECT_EQ(sim.events_executed(), 1u);
+}
+
 TEST(Fragmentation, OutOfOrderFragmentsStillReassemble) {
   sim::Simulator sim;
-  Datagram in;
-  in.src = {net::Ipv4Addr(10, 0, 0, 1), 1};
-  in.dst = {net::Ipv4Addr(10, 0, 0, 2), 2};
-  in.payload = pattern(5000);
-  int delivered = 0;
-  Reassembler reassembler(sim, sim::milliseconds(100), [&](Datagram d, std::size_t) {
-    ++delivered;
-    EXPECT_EQ(d.payload, in.payload);
+  const Datagram in = make_datagram(9000);
+  std::vector<Buffer> out;
+  Reassembler reassembler(sim, sim::milliseconds(100), [&](Datagram d, std::size_t nf) {
+    EXPECT_EQ(nf, 7u);
+    out.push_back(bytes_of(d));
   });
   auto fragments = fragment_datagram(in, 7);
-  ASSERT_GE(fragments.size(), 3u);
-  std::swap(fragments.front(), fragments.back());
+  ASSERT_EQ(fragments.size(), 7u);
+  // Reversed, then a fixed shuffle.
+  std::reverse(fragments.begin(), fragments.end());
   for (const auto& f : fragments) reassembler.accept(f);
-  EXPECT_EQ(delivered, 1);
+  auto again = fragment_datagram(in, 8);
+  for (std::size_t i : {3, 0, 6, 2, 5, 1, 4}) reassembler.accept(again[i]);
+  ASSERT_EQ(out.size(), 2u);
+  EXPECT_EQ(out[0], bytes_of(in));
+  EXPECT_EQ(out[1], bytes_of(in));
+  EXPECT_EQ(reassembler.pending(), 0u);
 }
 
 TEST(Fragmentation, DuplicateFragmentIgnored) {
   sim::Simulator sim;
-  Datagram in;
-  in.src = {net::Ipv4Addr(10, 0, 0, 1), 1};
-  in.dst = {net::Ipv4Addr(10, 0, 0, 2), 2};
-  in.payload = pattern(3000);
+  const Datagram in = make_datagram(3000);
   int delivered = 0;
-  Reassembler reassembler(sim, sim::milliseconds(100),
-                          [&](Datagram, std::size_t) { ++delivered; });
+  Reassembler reassembler(sim, sim::milliseconds(100), [&](Datagram d, std::size_t nf) {
+    ++delivered;
+    EXPECT_EQ(nf, 3u);
+    EXPECT_EQ(bytes_of(d), bytes_of(in));
+  });
   auto fragments = fragment_datagram(in, 9);
   reassembler.accept(fragments[0]);
   reassembler.accept(fragments[0]);  // duplicate must not double-count
@@ -111,16 +199,75 @@ TEST(Fragmentation, DuplicateFragmentIgnored) {
   EXPECT_EQ(delivered, 1);
 }
 
-TEST(Fragmentation, IncompleteReassemblyTimesOut) {
+TEST(Fragmentation, OverlappingFragmentIsDroppedNotDelivered) {
+  // Fragments [0,1000) and [2000,3000) plus an overlapping [500,1500):
+  // their lengths add up to the total, but [1500,2000) never arrived. The
+  // overlap is dropped, so the datagram stays incomplete and times out
+  // instead of being delivered with unset bytes.
   sim::Simulator sim;
-  Datagram in;
-  in.src = {net::Ipv4Addr(10, 0, 0, 1), 1};
-  in.dst = {net::Ipv4Addr(10, 0, 0, 2), 2};
-  in.payload = pattern(5000);
+  const Buffer seg = udp_segment(3000 - kUdpHeaderBytes, 3000);
+  const BytesView all(seg.data(), seg.size());
   int delivered = 0;
   Reassembler reassembler(sim, sim::milliseconds(50),
                           [&](Datagram, std::size_t) { ++delivered; });
-  auto fragments = fragment_datagram(in, 11);
+  reassembler.accept(raw_fragment(5, 0, 3000, all.subspan(0, 1000)));
+  reassembler.accept(raw_fragment(5, 500, 3000, all.subspan(500, 1000)));
+  reassembler.accept(raw_fragment(5, 2000, 3000, all.subspan(2000, 1000)));
+  EXPECT_EQ(delivered, 0);
+  EXPECT_EQ(reassembler.pending(), 1u);
+  // An overlap that starts before an existing range is dropped too.
+  reassembler.accept(raw_fragment(5, 1900, 3000, all.subspan(1900, 200)));
+  EXPECT_EQ(delivered, 0);
+  // The missing range completes it.
+  reassembler.accept(raw_fragment(5, 1000, 3000, all.subspan(1000, 1000)));
+  EXPECT_EQ(delivered, 1);
+  EXPECT_EQ(reassembler.pending(), 0u);
+}
+
+TEST(Fragmentation, InconsistentTotalIsIgnored) {
+  sim::Simulator sim;
+  const Buffer seg = udp_segment(2000 - kUdpHeaderBytes, 2000);
+  const BytesView all(seg.data(), seg.size());
+  std::vector<Buffer> out;
+  Reassembler reassembler(sim, sim::milliseconds(50), [&](Datagram d, std::size_t) {
+    out.push_back(bytes_of(d));
+  });
+  reassembler.accept(raw_fragment(6, 0, 2000, all.subspan(0, 1000)));
+  // Claims a 4000-byte segment for the same ident: ignored.
+  reassembler.accept(raw_fragment(6, 1000, 4000, all.subspan(1000, 1000)));
+  EXPECT_TRUE(out.empty());
+  reassembler.accept(raw_fragment(6, 1000, 2000, all.subspan(1000, 1000)));
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0], Buffer(seg.begin() + kUdpHeaderBytes, seg.end()));
+}
+
+TEST(Fragmentation, UdpLengthMismatchIsDropped) {
+  sim::Simulator sim;
+  int delivered = 0;
+  Reassembler reassembler(sim, sim::milliseconds(50),
+                          [&](Datagram, std::size_t) { ++delivered; });
+  // One frame whose UDP header claims one byte more than the segment.
+  const Buffer small = udp_segment(100, kUdpHeaderBytes + 101);
+  reassembler.accept(raw_fragment(1, 0, static_cast<std::uint32_t>(small.size()),
+                                  BytesView(small.data(), small.size())));
+  // A reassembled segment whose UDP header claims one byte less.
+  const Buffer big = udp_segment(3000, kUdpHeaderBytes + 2999);
+  const BytesView all(big.data(), big.size());
+  const auto total = static_cast<std::uint32_t>(big.size());
+  reassembler.accept(raw_fragment(2, 0, total, all.subspan(0, 1480)));
+  reassembler.accept(raw_fragment(2, 1480, total, all.subspan(1480)));
+  // A segment too short to hold a UDP header.
+  reassembler.accept(raw_fragment(3, 0, 4, all.subspan(0, 4)));
+  EXPECT_EQ(delivered, 0);
+  EXPECT_EQ(reassembler.pending(), 0u);
+}
+
+TEST(Fragmentation, IncompleteReassemblyTimesOut) {
+  sim::Simulator sim;
+  int delivered = 0;
+  Reassembler reassembler(sim, sim::milliseconds(50),
+                          [&](Datagram, std::size_t) { ++delivered; });
+  auto fragments = fragment_datagram(make_datagram(5000), 11);
   reassembler.accept(fragments[0]);  // lose the rest
   EXPECT_EQ(reassembler.pending(), 1u);
   sim.run();
@@ -134,6 +281,13 @@ TEST(Fragmentation, MalformedBytesRejected) {
   EXPECT_FALSE(IpFragment::parse(BytesView(junk.data(), junk.size())).has_value());
   Buffer empty;
   EXPECT_FALSE(IpFragment::parse(BytesView(empty.data(), empty.size())).has_value());
+  // A body running past the claimed total, and a total no UDP segment can
+  // have, are both rejected before any reassembly state is created.
+  const Buffer body = pattern(100);
+  const BytesView data(body.data(), body.size());
+  EXPECT_FALSE(IpFragment::parse(raw_fragment(1, 0, 50, data).view()).has_value());
+  EXPECT_FALSE(
+      IpFragment::parse(raw_fragment(1, 0, 0x80000000u, data).view()).has_value());
 }
 
 // A two-host cluster for socket-level tests.
@@ -163,7 +317,7 @@ TEST_F(HostPairTest, UnicastDatagramDelivery) {
   cluster_.simulator().run();
 
   ASSERT_EQ(got.size(), 1u);
-  EXPECT_EQ(got[0].payload, payload);
+  EXPECT_EQ(bytes_of(got[0]), payload);
   EXPECT_EQ(got[0].dst.port, 7000);
   EXPECT_EQ(got[0].src.addr, Cluster::host_addr(0));
   EXPECT_NE(got[0].src.port, 0);  // ephemeral port assigned
@@ -295,7 +449,7 @@ TEST_F(HostPairTest, MaxSizeDatagramExceedsSndbufYetDelivers) {
   rx->set_rcvbuf(256 * 1024);
   int got = 0;
   rx->set_handler([&](const Datagram& d) {
-    EXPECT_EQ(d.payload.size(), kMaxUdpPayload);
+    EXPECT_EQ(d.length, kMaxUdpPayload);
     ++got;
   });
   Buffer payload = pattern(kMaxUdpPayload);
@@ -346,16 +500,88 @@ TEST_F(HostPairTest, SharedMulticastPortDeliversToEveryJoinedSocket) {
   EXPECT_EQ(got_a + got_b, 3);
 }
 
+TEST_F(HostPairTest, JoinedSocketsShareOneDeliveredBlock) {
+  net::Ipv4Addr group(239, 5, 5, 6);
+  Socket* a = cluster_.host(1).open_socket();
+  Socket* b = cluster_.host(1).open_socket();
+  for (Socket* s : {a, b}) {
+    s->bind(7000);
+    s->join(group);
+  }
+  std::vector<Datagram> got_a, got_b;
+  a->set_handler([&](const Datagram& d) { got_a.push_back(d); });
+  b->set_handler([&](const Datagram& d) { got_b.push_back(d); });
+
+  Socket* tx = cluster_.host(0).open_socket();
+  for (std::size_t size : {std::size_t{1300}, std::size_t{50'000}}) {
+    const Buffer payload = pattern(size);
+    tx->send_to({group, 7000}, BytesView(payload.data(), payload.size()));
+    cluster_.simulator().run();
+    ASSERT_EQ(got_a.size(), 1u);
+    ASSERT_EQ(got_b.size(), 1u);
+    // One block, referenced by the two datagrams the handlers kept.
+    EXPECT_EQ(got_a[0].payload().data(), got_b[0].payload().data());
+    EXPECT_EQ(got_a[0].block.ref_count(), 2u);
+    EXPECT_EQ(bytes_of(got_a[0]), payload);
+    got_a.clear();
+    got_b.clear();
+  }
+}
+
+TEST(HostTamper, TamperedCopyLeavesAnotherHostsBytesAlone) {
+  // Host A receives a frame and keeps the datagram; the same frame block
+  // then crosses a link that tampers with every frame on its way to host
+  // B. Copy-on-write gives that link a private copy, so A's datagram and
+  // the sender's block keep their bytes.
+  sim::Simulator sim;
+  const net::Ipv4Addr group(239, 7, 7, 7);
+  Host a(sim, "a", net::Ipv4Addr(10, 0, 0, 2), net::MacAddr::host(2), HostParams{});
+  Host b(sim, "b", net::Ipv4Addr(10, 0, 0, 3), net::MacAddr::host(3), HostParams{});
+  std::vector<Datagram> got_a, got_b;
+  for (auto [host, got] : {std::pair{&a, &got_a}, std::pair{&b, &got_b}}) {
+    Socket* s = host->open_socket();
+    s->bind(7000);
+    s->join(group);
+    s->set_handler([got](const Datagram& d) { got->push_back(d); });
+  }
+
+  const Buffer payload = pattern(1000);
+  const net::Frame frame = net::make_frame(
+      net::MacAddr::from_multicast_group(group), net::MacAddr::host(1),
+      build_fragment({net::Ipv4Addr(10, 0, 0, 1), 5000}, {group, 7000},
+                     BytesView(payload.data(), payload.size()), 1, 0));
+  const Buffer wire(frame.payload.data(), frame.payload.data() + frame.payload.size());
+  a.frame_input()(frame);
+  sim.run();
+  ASSERT_EQ(got_a.size(), 1u);
+  EXPECT_EQ(got_a[0].block.data(), frame.payload.data());  // shared, not copied
+
+  Rng rng(3);
+  net::LinkParams link;
+  link.faults.tamper_rate = 1.0;
+  net::TxPort tampering(sim, link, &rng);
+  tampering.connect(b.frame_input());
+  tampering.send(frame);
+  sim.run();
+  EXPECT_EQ(tampering.stats().tampered_frames, 1u);
+
+  EXPECT_EQ(bytes_of(got_a[0]), payload);
+  EXPECT_EQ(Buffer(frame.payload.data(), frame.payload.data() + frame.payload.size()),
+            wire);
+  // With this seed the flipped byte lands in B's payload: B got its own,
+  // different bytes.
+  ASSERT_EQ(got_b.size(), 1u);
+  EXPECT_NE(got_b[0].block.data(), got_a[0].block.data());
+  EXPECT_NE(bytes_of(got_b[0]), payload);
+}
+
 TEST(Reassembly, InterleavedDatagramsDoNotCorrupt) {
   sim::Simulator sim;
-  Datagram first, second;
-  first.src = second.src = {net::Ipv4Addr(10, 0, 0, 1), 1};
-  first.dst = second.dst = {net::Ipv4Addr(10, 0, 0, 2), 2};
-  first.payload = pattern(4000);
-  second.payload = pattern(6000);
+  const Datagram first = make_datagram(4000);
+  const Datagram second = make_datagram(6000);
   std::vector<Buffer> out;
   Reassembler reassembler(sim, sim::milliseconds(100), [&](Datagram d, std::size_t) {
-    out.push_back(std::move(d.payload));
+    out.push_back(bytes_of(d));
   });
   auto f1 = fragment_datagram(first, 1);
   auto f2 = fragment_datagram(second, 2);
@@ -366,8 +592,8 @@ TEST(Reassembly, InterleavedDatagramsDoNotCorrupt) {
     if (j < f2.size()) reassembler.accept(f2[j++]);
   }
   ASSERT_EQ(out.size(), 2u);
-  EXPECT_EQ(out[0], first.payload);
-  EXPECT_EQ(out[1], second.payload);
+  EXPECT_EQ(out[0], bytes_of(first));
+  EXPECT_EQ(out[1], bytes_of(second));
 }
 
 TEST(Cluster, TwoSwitchTopologyMatchesFigure7) {

@@ -392,6 +392,149 @@ TEST_F(SnoopingSwitchTest, RegistrationIsReferenceCounted) {
   EXPECT_EQ(received_[2].size(), 1u);
 }
 
+// Fan-out timing. A burst of frames entering one port at the same
+// instant is forwarded after the forwarding latency, then serializes back
+// to back on every egress port. Arrival k (0-based) on each egress port
+// is at latency + (k + 1) * serialization + propagation, and the ports
+// see the frames in burst order.
+struct Arrival {
+  std::size_t port;
+  sim::Time at;
+  std::uint32_t tag;
+  bool operator==(const Arrival&) const = default;
+};
+
+class FanoutTest : public ::testing::Test {
+ protected:
+  static constexpr std::size_t kPorts = 5;
+  static constexpr std::size_t kPayload = 1000;
+  static constexpr int kBurst = 3;
+
+  explicit FanoutTest(bool snooping = false) : sw_(sim_, kPorts, params(snooping)) {
+    for (std::size_t p = 0; p < kPorts; ++p) {
+      ingress_[p] = sw_.attach(p, [this, p](const Frame& f) {
+        log_.push_back({p, sim_.now(), f.trace_tag});
+      });
+    }
+  }
+
+  static SwitchParams params(bool snooping) {
+    SwitchParams p;
+    p.multicast_snooping = snooping;
+    return p;
+  }
+
+  void send_burst(MacAddr dst, std::uint32_t first_tag) {
+    for (int k = 0; k < kBurst; ++k) {
+      Frame f = test_frame(dst, MacAddr::host(0), kPayload);
+      f.trace_tag = first_tag + static_cast<std::uint32_t>(k);
+      ingress_[0](f);
+    }
+  }
+
+  static sim::Time serialization() {
+    return sim::transmission_time(kPayload + 38, SwitchParams{}.port.rate_bps);
+  }
+  static sim::Time arrival(sim::Time start, int k) {
+    return start + SwitchParams{}.forwarding_latency + (k + 1) * serialization() +
+           SwitchParams{}.port.propagation;
+  }
+
+  void expect_port_stats(std::size_t port, std::uint64_t frames, std::size_t peak) {
+    const TxPort::Stats& st = sw_.port_tx(port).stats();
+    EXPECT_EQ(st.frames_enqueued, frames) << "port " << port;
+    EXPECT_EQ(st.frames_sent, frames) << "port " << port;
+    EXPECT_EQ(st.bytes_sent, frames * (kPayload + 38)) << "port " << port;
+    EXPECT_EQ(st.busy_time, static_cast<sim::Time>(frames) * serialization())
+        << "port " << port;
+    EXPECT_EQ(st.peak_queue_frames, peak) << "port " << port;
+    EXPECT_EQ(st.queue_drops, 0u) << "port " << port;
+  }
+
+  sim::Simulator sim_;
+  EthernetSwitch sw_;
+  FrameSink ingress_[kPorts];
+  std::vector<Arrival> log_;
+};
+
+TEST_F(FanoutTest, FloodedBurstArrivesInOrderOnEveryPort) {
+  send_burst(MacAddr::broadcast(), 1);
+  sim_.run();
+  // Every frame reaches ports 1..4 at the same instant, in port order.
+  std::vector<Arrival> expected;
+  for (int k = 0; k < kBurst; ++k) {
+    for (std::size_t p = 1; p < kPorts; ++p) {
+      expected.push_back({p, arrival(0, k), 1u + static_cast<std::uint32_t>(k)});
+    }
+  }
+  EXPECT_EQ(log_, expected);
+  expect_port_stats(0, 0, 0);
+  for (std::size_t p = 1; p < kPorts; ++p) expect_port_stats(p, kBurst, kBurst);
+  EXPECT_EQ(sw_.stats().frames_flooded, static_cast<std::uint64_t>(kBurst));
+}
+
+class SnoopingFanoutTest : public FanoutTest {
+ protected:
+  SnoopingFanoutTest() : FanoutTest(true) {}
+
+  // Arrivals on one port, in order.
+  std::vector<Arrival> on_port(std::size_t port) const {
+    std::vector<Arrival> out;
+    for (const Arrival& a : log_) {
+      if (a.port == port) out.push_back(a);
+    }
+    return out;
+  }
+};
+
+TEST_F(SnoopingFanoutTest, SnoopedBurstArrivesInOrderOnMemberPorts) {
+  const MacAddr group = MacAddr::from_multicast_group(Ipv4Addr(239, 0, 0, 1));
+  for (std::size_t p : {1, 3, 4}) sw_.register_group_port(group, p);
+  send_burst(group, 1);
+  sim_.run();
+  for (std::size_t p : {1, 3, 4}) {
+    std::vector<Arrival> expected;
+    for (int k = 0; k < kBurst; ++k) {
+      expected.push_back({p, arrival(0, k), 1u + static_cast<std::uint32_t>(k)});
+    }
+    EXPECT_EQ(on_port(p), expected) << "port " << p;
+    expect_port_stats(p, kBurst, kBurst);
+  }
+  EXPECT_TRUE(on_port(2).empty());
+  expect_port_stats(2, 0, 0);
+  EXPECT_EQ(log_.size(), 3u * kBurst);
+  EXPECT_EQ(sw_.stats().frames_snoop_forwarded, static_cast<std::uint64_t>(kBurst));
+}
+
+TEST_F(SnoopingFanoutTest, MembershipChangeDoesNotRecallAFrameInFlight) {
+  const MacAddr group = MacAddr::from_multicast_group(Ipv4Addr(239, 0, 0, 1));
+  for (std::size_t p : {1, 2, 3}) sw_.register_group_port(group, p);
+  // Frame 1 enters at t=0. Half-way through its forwarding latency port 2
+  // leaves and port 4 joins; frame 1 still goes to 1, 2 and 3.
+  send_burst(group, 1);
+  const sim::Time mid = SwitchParams{}.forwarding_latency / 2;
+  sim_.schedule_at(mid, [&] {
+    sw_.unregister_group_port(group, 2);
+    sw_.register_group_port(group, 4);
+  });
+  sim_.run();
+  for (std::size_t p : {1, 2, 3}) {
+    ASSERT_EQ(on_port(p).size(), static_cast<std::size_t>(kBurst)) << "port " << p;
+    EXPECT_EQ(on_port(p).back().at, arrival(0, kBurst - 1)) << "port " << p;
+  }
+  EXPECT_TRUE(on_port(4).empty());
+  // A frame entering after the change follows the new membership.
+  log_.clear();
+  const sim::Time later = sim_.now();
+  Frame f = test_frame(group, MacAddr::host(0), kPayload);
+  f.trace_tag = 9;
+  ingress_[0](f);
+  sim_.run();
+  EXPECT_TRUE(on_port(2).empty());
+  ASSERT_EQ(on_port(4).size(), 1u);
+  EXPECT_EQ(on_port(4)[0], (Arrival{4, arrival(later, 0), 9}));
+}
+
 TEST(SharedBus, SingleStationDeliversToAllOthers) {
   sim::Simulator sim;
   Rng rng(1);

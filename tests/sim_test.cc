@@ -190,10 +190,10 @@ TEST_P(SimulatorCores, CancelRearmChurnKeepsOrder) {
 }
 
 TEST_P(SimulatorCores, BeyondHorizonDelaysStillOrder) {
-  // ~100 hours exceeds the wheel's 2^48 ns horizon and exercises the
-  // overflow path; the heap takes it in stride either way.
+  // Twice the wheel's horizon (2^kHorizonBits ns) exercises the overflow
+  // path; the heap takes it in stride either way.
   std::vector<int> order;
-  const Time far = static_cast<Time>(100) * 3600 * 1'000'000'000;
+  const Time far = Time{1} << (TimerWheel::kHorizonBits + 1);
   sim.schedule_at(far, [&] { order.push_back(2); });
   sim.schedule_at(milliseconds(1), [&] { order.push_back(1); });
   sim.schedule_at(far + 1, [&] { order.push_back(3); });
@@ -248,6 +248,68 @@ TEST(SimulatorCoreParity, RandomChurnTracesMatch) {
             trace_for(EventCoreKind::kLegacyHeap));
 }
 
+// Many events inside one level-0 slot (2^kL0Shift ns): distinct and equal
+// times, events scheduled for an earlier ns than the slot's tail, records
+// cascading down from coarser levels into a slot that already holds
+// younger ones, and cancels of records anywhere in a slot. Both cores must
+// run them in the same order.
+TEST(SimulatorCoreParity, CrowdedLevel0SlotTracesMatch) {
+  constexpr Time kSlot = Time{1} << TimerWheel::kL0Shift;
+  auto trace_for = [](EventCoreKind kind) {
+    Simulator sim(kind);
+    std::vector<std::pair<Time, int>> trace;
+    std::vector<EventId> ids;
+    std::uint64_t lcg = 987654321;
+    auto next = [&lcg] {
+      lcg = lcg * 6364136223846793005ull + 1442695040888963407ull;
+      return lcg >> 33;
+    };
+    int label = 0;
+    auto schedule = [&](Time at) {
+      const int i = label++;
+      ids.push_back(sim.schedule_at(at, [&trace, &sim, i] {
+        trace.emplace_back(sim.now(), i);
+      }));
+    };
+    // Far-off records (~5 ms, at the start of a level-1 slot) that cascade
+    // down into the first two level-0 slots there, scheduled first so they
+    // are older than anything scheduled there later.
+    const Time far_slot = Time{77} << TimerWheel::shift(1);
+    for (int i = 0; i < 200; ++i) {
+      schedule(far_slot + static_cast<Time>(next() % (2 * kSlot)));
+    }
+    // Events shortly before the far slot that schedule straight into its
+    // level-0 slots while the older records still wait one level up, in a
+    // slot that starts at the same instant.
+    for (int i = 0; i < 50; ++i) {
+      sim.schedule_at(far_slot - microseconds(20) + i, [&] {
+        schedule(far_slot + static_cast<Time>(next() % (2 * kSlot)));
+      });
+    }
+    // Near records: all within the first two slots, many on equal times.
+    for (int i = 0; i < 400; ++i) {
+      schedule(static_cast<Time>(next() % 64) * (kSlot / 32));
+      if (next() % 4 == 0) sim.cancel(ids[next() % ids.size()]);
+    }
+    // While running: events reschedule into the current and the far slot
+    // (earlier and later than the tail, and at now), with cancels mixed in.
+    for (int i = 0; i < 300; ++i) {
+      sim.schedule_at(static_cast<Time>(next() % (2 * kSlot)), [&] {
+        const Time now = sim.now();
+        schedule(now + static_cast<Time>(next() % 3));
+        schedule(now + static_cast<Time>(next() % kSlot));
+        schedule(far_slot + static_cast<Time>(next() % (2 * kSlot)));
+        if (next() % 3 == 0) sim.cancel(ids[next() % ids.size()]);
+      });
+    }
+    sim.run();
+    return trace;
+  };
+  const auto pooled = trace_for(EventCoreKind::kPooledWheel);
+  EXPECT_GT(pooled.size(), 1000u);
+  EXPECT_EQ(pooled, trace_for(EventCoreKind::kLegacyHeap));
+}
+
 TEST(DefaultEventCore, IsProcessWideAndRestorable) {
   const EventCoreKind original = default_event_core();
   EXPECT_EQ(original, EventCoreKind::kPooledWheel);
@@ -284,6 +346,24 @@ TEST(EventPool, SteadyStateChurnDoesNotGrow) {
     pool.release(idx);
   }
   EXPECT_EQ(pool.capacity(), capacity);
+}
+
+TEST(TimerWheel, CancelRecyclesTheRecordAtOnce) {
+  Simulator sim(EventCoreKind::kPooledWheel);
+  int fired = 0;
+  // Fill one level-0 slot, then cancel from its middle, head and tail.
+  std::vector<EventId> ids;
+  for (int i = 0; i < 8; ++i) ids.push_back(sim.schedule_at(100 + i, [&] { ++fired; }));
+  for (int i : {3, 0, 7}) sim.cancel(ids[i]);
+  EXPECT_EQ(sim.live_events(), 5u);
+  // The cancelled records are free again: rescheduling reuses them, so
+  // the pool never grows past its first slab.
+  for (int round = 0; round < 10'000; ++round) {
+    sim.cancel(sim.schedule_at(50 + round % 2000, [&] { fired += 1000; }));
+  }
+  sim.run();
+  EXPECT_EQ(fired, 5);
+  EXPECT_EQ(sim.events_executed(), 5u);
 }
 
 TEST(TimerWheel, CancelledRecordsAreReapedNotExecuted) {
